@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import family as fam
@@ -31,7 +32,12 @@ from .instance import (
     write_instance,
     write_solution,
 )
-from .pipeline import PipelineConfig, solve_exact_vcsndp, solve_pipeline
+from .pipeline import (
+    PipelineConfig,
+    find_common_source,
+    solve_exact_vcsndp,
+    solve_pipeline,
+)
 from .report import BenchmarkOptions, benchmark, dumps, result_to_dict
 
 EXIT_OK = 0
@@ -123,12 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _params_override(args):
+def _params_override(args) -> tuple[int, int] | None:
+    """(p, q) from --p/--q, which `solve`, `bench` and `family` share."""
     if (args.p is None) != (args.q is None):
         raise ValueError("--p and --q must be given together")
-    if args.p is None:
-        return None
-    return (args.p, args.q)
+    return None if args.p is None else (args.p, args.q)
 
 
 def _pipeline_config(args, mode: str) -> PipelineConfig:
@@ -146,13 +151,13 @@ def _pipeline_config(args, mode: str) -> PipelineConfig:
     )
 
 
-def _detect_mode(args, inst) -> str:
-    if args.single_source == "on":
-        return fam.SINGLE_SOURCE
-    if args.single_source == "off":
-        return fam.GENERAL
-    from .pipeline import find_common_source
+_FIXED_MODES = {"on": fam.SINGLE_SOURCE, "off": fam.GENERAL}
 
+
+def _detect_mode(args, inst) -> str:
+    """The mode `--single-source on|off` names, else detected from `inst`."""
+    if args.single_source in _FIXED_MODES:
+        return _FIXED_MODES[args.single_source]
     try:
         find_common_source(inst)
         return fam.SINGLE_SOURCE
@@ -223,13 +228,8 @@ def _cmd_family(args, out) -> int:
             raise ValueError("--terminals must be >= 1")
         terminals = list(range(args.terminals))
     basis = args.basis if args.basis is not None else max(2, len(terminals))
-    if (args.p is None) != (args.q is None):
-        raise ValueError("--p and --q must be given together")
-    if args.p is not None:
-        params = fam.override_params(args.k, basis, args.mode, args.p, args.q,
-                                     unsafe=args.unsafe_params)
-    else:
-        params = fam.default_params(args.k, basis, args.mode)
+    params = fam.resolve_params(args.k, basis, args.mode,
+                                _params_override(args), args.unsafe_params)
     family = fam.sample_family(terminals, params, args.seed)
     out.write(f"mode {params.mode} k {params.k} basis {params.basis} "
               f"p {params.p} q {params.q}\n")
@@ -271,12 +271,13 @@ def _cmd_exact(args, out) -> int:
 def _cmd_bench(args, out) -> int:
     paths = sorted(args.directory.glob("*.txt"))
     instances = [(p.name, parse_instance(p.read_text())) for p in paths]
-    mode = args.single_source == "on" and fam.SINGLE_SOURCE or fam.GENERAL
-    cfg = _pipeline_config(args, mode)
     opts = BenchmarkOptions(exact_oracle=not args.no_exact,
                             exact_budget=args.exact_budget,
                             include_timing=not args.no_timing)
-    rep = benchmark(instances, cfg, opts)
+    fixed = _FIXED_MODES.get(args.single_source)
+    cfg = _pipeline_config(args, fixed or fam.GENERAL)
+    rep = benchmark(instances, cfg, opts,
+                    mode_of=None if fixed else partial(_detect_mode, args))
     if args.json is not None:
         args.json.write_text(dumps(rep))
     agg = rep["aggregate"]

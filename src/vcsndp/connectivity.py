@@ -1,11 +1,12 @@
 """Connectivity queries by max-flow, plus brute-force Menger oracles.
 
-Vertex connectivity uses the standard node-splitting construction: every
-vertex other than the endpoints becomes an in/out pair joined by a unit
-arc; graph edges get effectively-infinite arcs except direct s-t edges,
-which count one path each. Element connectivity splits only non-terminal
-vertices and gives every edge unit capacity, so minimum cuts are mixed
-(edge set F, non-terminal vertex set X) per Menger.
+All three queries use one node-splitting construction: every vertex left
+unsplit is one node, every other vertex an in/out pair joined by a unit
+arc. Vertex connectivity leaves only the endpoints unsplit and gives graph
+edges effectively-infinite arcs except direct s-t edges, which count one
+path each. Element connectivity splits only non-terminal vertices and
+gives every edge unit (or, for LP separation, fractional) capacity, so
+minimum cuts are mixed (edge set F, non-terminal vertex set X) per Menger.
 """
 
 from __future__ import annotations
@@ -33,35 +34,63 @@ def _edge_list(inst: Instance, edge_ids: Iterable[int] | None):
     return [(e, inst.edges[e]) for e in sorted(set(edge_ids))]
 
 
+def _check_query(s, t, terminals=None, capacities=()):
+    if terminals is not None and (s not in terminals or t not in terminals):
+        raise ValueError("s and t must be terminals")
+    if s == t:
+        raise ValueError("s == t")
+    if any(c < 0 or c > 1 for c in capacities):
+        raise ValueError("capacity outside [0,1]")
+
+
+def _split_cut(inst: Instance, unsplit, s: int, t: int, edge_caps,
+               one_way=frozenset()) -> ConnectivityQueryResult:
+    """Minimum s-t cut of the node-splitting network.
+
+    Every vertex outside `unsplit` becomes an in/out pair joined by a unit
+    arc; `edge_caps` lists (edge id, capacity) for the edges in the
+    network, which get an arc each way after all vertex arcs. Edges in
+    `one_way` join s and t and get only the s->t arc.
+    """
+    net = CapacitatedNetwork()
+    node_in, node_out = [], []
+    for w in range(inst.n):
+        node_in.append(net.add_node())
+        if w in unsplit:
+            node_out.append(node_in[w])
+        else:
+            node_out.append(net.add_node())
+            net.add_arc(node_in[w], node_out[w], 1, ("vertex", w))
+    for eid, cap in edge_caps:
+        u, v, _ = inst.edges[eid]
+        tag = ("edge", eid)
+        if eid in one_way:
+            net.add_arc(node_out[s], node_in[t], cap, tag)
+        else:
+            net.add_arc(node_out[u], node_in[v], cap, tag)
+            net.add_arc(node_out[v], node_in[u], cap, tag)
+    value, cut = net.max_flow(node_out[s], node_in[t])
+    cut_refs = {"edge": set(), "vertex": set()}
+    for aid in cut:
+        kind, ref = net.tags[aid]
+        cut_refs[kind].add(ref)
+    return ConnectivityQueryResult(value, frozenset(cut_refs["edge"]),
+                                   frozenset(cut_refs["vertex"]))
+
+
 def vertex_connectivity_pair(
     inst: Instance, s: int, t: int,
     edge_ids: Iterable[int] | None = None,
 ) -> ConnectivityQueryResult:
     """Max internally vertex-disjoint s-t paths in the given edge subset."""
-    if s == t:
-        raise ValueError("s == t")
+    _check_query(s, t)
     edges = _edge_list(inst, edge_ids)
-    net = CapacitatedNetwork()
     big = len(edges) + inst.n + 1
-    node_in = {}
-    node_out = {}
-    for w in range(inst.n):
-        if w in (s, t):
-            nid = net.add_node()
-            node_in[w] = node_out[w] = nid
-        else:
-            node_in[w] = net.add_node()
-            node_out[w] = net.add_node()
-            net.add_arc(node_in[w], node_out[w], 1, ("vertex", w))
-    for eid, (u, v, _) in edges:
-        if {u, v} == {s, t}:
-            # each parallel direct edge contributes exactly one path
-            net.add_arc(node_out[s], node_in[t], 1, ("edge", eid))
-        else:
-            net.add_arc(node_out[u], node_in[v], big, ("edge", eid))
-            net.add_arc(node_out[v], node_in[u], big, ("edge", eid))
-    value, cut = net.max_flow(node_out[s], node_in[t])
-    return _cut_result(net, int(value), cut)
+    # each parallel direct edge contributes exactly one path
+    direct = {eid for eid, (u, v, _) in edges if {u, v} == {s, t}}
+    return _split_cut(
+        inst, (s, t), s, t,
+        [(eid, 1 if eid in direct else big) for eid, _ in edges], direct)
 
 
 def element_connectivity_pair(
@@ -69,19 +98,15 @@ def element_connectivity_pair(
     edge_ids: Iterable[int] | None = None,
 ) -> ConnectivityQueryResult:
     """Max element-disjoint s-t paths (elements: edges + non-terminals)."""
-    if s not in terminals or t not in terminals:
-        raise ValueError("s and t must be terminals")
-    if s == t:
-        raise ValueError("s == t")
-    return _element_cut(inst, terminals, s, t, _edge_list(inst, edge_ids),
-                        caps=None, fixed=frozenset())
+    _check_query(s, t, terminals)
+    return _split_cut(inst, terminals, s, t,
+                      [(eid, 1) for eid, _ in _edge_list(inst, edge_ids)])
 
 
 def fractional_element_mincut(
     inst: Instance, terminals: frozenset[int], s: int, t: int,
     capacities: Mapping[int, Fraction],
     fixed_edges: frozenset[int] = frozenset(),
-    edge_ids: Iterable[int] | None = None,
 ) -> ConnectivityQueryResult:
     """Minimum mixed cut value under fractional edge capacities in [0,1].
 
@@ -89,59 +114,13 @@ def fractional_element_mincut(
     (default 0); non-terminal vertices count 1. Used as the separation
     oracle for the set-pair LP relaxation.
     """
-    if s not in terminals or t not in terminals:
-        raise ValueError("s and t must be terminals")
-    if s == t:
-        raise ValueError("s == t")
-    for c in capacities.values():
-        if c < 0 or c > 1:
-            raise ValueError("capacity outside [0,1]")
-    return _element_cut(inst, terminals, s, t, _edge_list(inst, edge_ids),
-                        caps=capacities, fixed=frozenset(fixed_edges))
-
-
-def _element_cut(inst, terminals, s, t, edges, caps, fixed):
-    net = CapacitatedNetwork()
-    node_in = {}
-    node_out = {}
-    for w in range(inst.n):
-        if w in terminals:
-            nid = net.add_node()
-            node_in[w] = node_out[w] = nid
-        else:
-            node_in[w] = net.add_node()
-            node_out[w] = net.add_node()
-            net.add_arc(node_in[w], node_out[w], 1, ("vertex", w))
-    for eid, (u, v, _) in edges:
-        if caps is None:
-            cap = 1
-        elif eid in fixed:
-            cap = Fraction(1)
-        else:
-            # zero-capacity arcs stay in the network so cut witnesses
-            # can name saturated-at-zero edges
-            cap = Fraction(caps.get(eid, 0))
-        net.add_arc(node_out[u], node_in[v], cap, ("edge", eid))
-        net.add_arc(node_out[v], node_in[u], cap, ("edge", eid))
-    value, cut = net.max_flow(node_out[s], node_in[t])
-    if caps is None:
-        value = int(value)
-    return _cut_result(net, value, cut)
-
-
-def _cut_result(net, value, cut) -> ConnectivityQueryResult:
-    cut_edges, cut_vertices = set(), set()
-    for aid in cut:
-        tag = net.tags[aid]
-        if tag is None:
-            continue
-        kind, ref = tag
-        if kind == "edge":
-            cut_edges.add(ref)
-        else:
-            cut_vertices.add(ref)
-    return ConnectivityQueryResult(
-        value, frozenset(cut_edges), frozenset(cut_vertices))
+    _check_query(s, t, terminals, capacities.values())
+    # zero-capacity arcs stay in the network so cut witnesses can name
+    # saturated-at-zero edges
+    return _split_cut(inst, terminals, s, t, [
+        (eid, Fraction(1) if eid in fixed_edges
+         else Fraction(capacities.get(eid, 0)))
+        for eid in range(inst.m)])
 
 
 @dataclass(frozen=True)
@@ -259,8 +238,7 @@ def brute_force_menger_element(
     budget: int = _DEFAULT_ENUM_BUDGET,
 ) -> int:
     """Element connectivity by removal enumeration over edges + non-terminals."""
-    if s not in terminals or t not in terminals:
-        raise ValueError("s and t must be terminals")
+    _check_query(s, t, terminals)
     edges = _edge_list(inst, edge_ids)
     eids = [eid for eid, _ in edges]
     nonterms = [w for w in range(inst.n)

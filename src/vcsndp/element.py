@@ -7,7 +7,8 @@ Two backends over the same instance type:
   highest-valued edge. Emits a per-run certificate (LP lower bound, ratio,
   deviation flag for any purchase below 1/2).
 * solve_exact: branch and bound over edge subsets, feasibility judged by
-  the flow-based element-connectivity verifier. Desk-scale oracle only.
+  the flow-based element-connectivity verifier. Desk-scale oracle only;
+  branch_and_bound also serves the exact VC-SNDP oracle.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ def _assert_fractionally_feasible(ei: ElementInstance):
 class LpState:
     values: dict[int, float]              # edge id -> LP value in [0,1]
     purchased: frozenset[int]
-    constraints: list[tuple[Pair, frozenset[int], frozenset[int], float]]
     objective: float                      # cost of the fractional part
 
 
@@ -108,10 +108,11 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
 
     Loop: separate every active pair with the fractional min-cut oracle at
     the current point; add each violated cut Sum_{e in F free} x_e >=
-    r - |X| - |F purchased| and re-solve until no cut is violated.
+    r - |X| - |F purchased| and re-solve until no cut is violated. A pair
+    the full graph cannot serve ends in InfeasibleError: its cut either
+    has no free edge or makes the LP infeasible.
     """
     purchased = frozenset(purchased)
-    _assert_fractionally_feasible(ei)
     free = [e for e in range(ei.inst.m) if e not in purchased]
     pos = {e: j for j, e in enumerate(free)}
     costs = np.array([float(ei.inst.edge_cost(e)) for e in free])
@@ -119,7 +120,6 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
     values = {e: 0.0 for e in free}
     rows: list[np.ndarray] = []
     rhs: list[float] = []
-    recorded = []
     seen_keys = set()
 
     while True:
@@ -149,8 +149,6 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
                 row[pos[e]] = 1.0
             rows.append(row)
             rhs.append(float(bound))
-            recorded.append((pr, f_free, frozenset(res.cut_vertices),
-                             float(bound)))
             new_rows += 1
         if new_rows == 0:
             break
@@ -163,8 +161,7 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
         values = {e: min(1.0, max(0.0, float(res.x[pos[e]]))) for e in free}
 
     objective = float(np.dot(costs, [values[e] for e in free])) if free else 0.0
-    return LpState(values=values, purchased=purchased,
-                   constraints=recorded, objective=objective)
+    return LpState(values=values, purchased=purchased, objective=objective)
 
 
 @dataclass(frozen=True)
@@ -220,15 +217,16 @@ def solve_exact(ei: ElementInstance,
     Branches over edges in nonincreasing cost order, exclude-first; a
     branch dies when the edges still available cannot satisfy some pair.
     """
-    return _branch_and_bound(
+    return branch_and_bound(
         ei.inst,
         lambda ids: _pairs_satisfied(ei, ids),
         trivially_feasible=not ei.active_pairs,
         budget=budget)
 
 
-def _branch_and_bound(inst: Instance, feasible, trivially_feasible: bool,
-                      budget: int) -> EdgeSolution:
+def branch_and_bound(inst: Instance, feasible, trivially_feasible: bool,
+                     budget: int) -> EdgeSolution:
+    """Cheapest edge subset accepted by the monotone `feasible` test."""
     if trivially_feasible:
         return EdgeSolution.of(inst, ())
     all_ids = frozenset(range(inst.m))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, TextIO
 
-from .errors import ParseError
+from .errors import BudgetExceededError, ParseError
 from .instance import Pair
 
 GENERAL = "general"
@@ -69,6 +69,16 @@ def override_params(k: int, basis: int, mode: str, p: int, q: int,
                         paper_relation=relation)
 
 
+def resolve_params(k: int, basis: int, mode: str,
+                   override: tuple[int, int] | None = None,
+                   unsafe: bool = False) -> FamilyParams:
+    """The explicit (p, q) override if one is given, else the defaults."""
+    if override is None:
+        return default_params(k, basis, mode)
+    p, q = override
+    return override_params(k, basis, mode, p, q, unsafe=unsafe)
+
+
 @dataclass(frozen=True)
 class TerminalFamily:
     params: FamilyParams
@@ -117,7 +127,7 @@ _DEFAULT_CHECK_BUDGET = 50_000_000
 def _check_budget(n_subjects: int, tau: int, k: int, p: int, budget: int):
     combos = sum(math.comb(max(tau - 2, 0), j) for j in range(k))
     if n_subjects * combos * p > budget:
-        raise ValueError(
+        raise BudgetExceededError(
             f"goodness check needs ~{n_subjects * combos * p} steps, "
             f"over budget {budget}")
 

@@ -25,6 +25,8 @@ from .element import (
     DEFAULT_NODE_BUDGET,
     ElementInstance,
     SolveCertificate,
+    branch_and_bound,
+    induce_element_instance,
     solve_exact,
     solve_iterative_rounding,
 )
@@ -45,7 +47,6 @@ class PipelineConfig:
     verify_family: bool = True
     max_resamples: int = 16
     verify_solution: bool = True
-    exact_budget: int = DEFAULT_NODE_BUDGET
     jobs: int = 1
 
     def __post_init__(self):
@@ -98,18 +99,7 @@ def check_instance_feasible(inst: Instance) -> None:
                 f"full graph only provides {got}")
 
 
-def _resolve_params(inst: Instance, cfg: PipelineConfig,
-                    tau: int) -> fam.FamilyParams:
-    k = inst.k
-    basis = max(2, tau if cfg.log_basis == "tau" else inst.n)
-    if cfg.params_override is not None:
-        p, q = cfg.params_override
-        return fam.override_params(k, basis, cfg.mode, p, q,
-                                   unsafe=cfg.unsafe_params)
-    return fam.default_params(k, basis, cfg.mode)
-
-
-def _sample_good_family(terminals, params, cfg, pairs, k):
+def _sample_good_family(terminals, params, cfg, pairs):
     """Sample; when verification is on, resample with seed+1 until good."""
     last_witness = None
     for attempt in range(cfg.max_resamples):
@@ -117,9 +107,10 @@ def _sample_good_family(terminals, params, cfg, pairs, k):
         if not cfg.verify_family:
             return f, attempt
         if cfg.mode == fam.GENERAL:
-            report = fam.is_good_family_general(f, pairs, terminals, k)
+            report = fam.is_good_family_general(f, pairs, terminals,
+                                                params.k)
         else:
-            report = fam.is_good_family_single_source(f, terminals, k)
+            report = fam.is_good_family_single_source(f, terminals, params.k)
         if report.good:
             return f, attempt
         last_witness = report.witness
@@ -131,8 +122,7 @@ def _sample_good_family(terminals, params, cfg, pairs, k):
 
 def _solve_backend(ei: ElementInstance, cfg: PipelineConfig):
     if cfg.backend == "exact":
-        sol = solve_exact(ei, budget=cfg.exact_budget)
-        return sol, None
+        return solve_exact(ei), None
     return solve_iterative_rounding(ei)
 
 
@@ -141,9 +131,11 @@ def _run_pipeline(inst: Instance, cfg: PipelineConfig, terminals, pairs,
     if not inst.requirements:
         raise InfeasibleError("instance has no requirements")
     check_instance_feasible(inst)
-    k = inst.k
-    params = _resolve_params(inst, cfg, tau=len(terminals | extra_terminals))
-    family, resamples = _sample_good_family(terminals, params, cfg, pairs, k)
+    all_terminals = terminals | extra_terminals
+    basis = max(2, len(all_terminals) if cfg.log_basis == "tau" else inst.n)
+    params = fam.resolve_params(inst.k, basis, cfg.mode,
+                                cfg.params_override, cfg.unsafe_params)
+    family, resamples = _sample_good_family(terminals, params, cfg, pairs)
 
     subsets = family.subsets
     # group subset indices by induced active-pair set
@@ -154,34 +146,31 @@ def _run_pipeline(inst: Instance, cfg: PipelineConfig, terminals, pairs,
             class_of.setdefault(frozenset(active), []).append(i)
 
     keys = sorted(class_of, key=lambda key: min(class_of[key]))
-
-    def solve_key(key):
-        endpoints = frozenset().union(*key) | extra_terminals
-        ei = ElementInstance(
-            inst=inst, terminals=endpoints,
-            active_pairs={pr: inst.requirements[pr] for pr in key})
-        return _solve_backend(ei, cfg)
-
-    if cfg.jobs > 1 and len(keys) > 1:
+    # the class's endpoints induce exactly the class's active pairs
+    instances = [induce_element_instance(
+        inst, all_terminals, frozenset().union(*key) | extra_terminals)
+        for key in keys]
+    if cfg.jobs > 1 and len(instances) > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            solved = list(pool.map(solve_key, keys))
+            solved = list(pool.map(_solve_backend, instances,
+                                   [cfg] * len(instances)))
     else:
-        solved = [solve_key(key) for key in keys]
+        solved = [_solve_backend(ei, cfg) for ei in instances]
 
     records = []
     subset_classes = {i: -1 for i in range(1, params.p + 1)}
     union: set[int] = set()
-    for slot, (key, (sol, cert)) in enumerate(zip(keys, solved)):
+    for slot, (key, ei, (sol, cert)) in enumerate(
+            zip(keys, instances, solved)):
         indices = class_of[key]
         for i in indices:
             subset_classes[i] = slot
         union |= sol.edge_ids
-        endpoints = frozenset().union(*key) | extra_terminals
         records.append(InstanceRecord(
             first_index=min(indices), multiplicity=len(indices),
-            terminals=endpoints,
+            terminals=ei.terminals,
             active_pairs=tuple(sorted(
-                (*sorted(pr), inst.requirements[pr]) for pr in key)),
+                (*sorted(pr), r) for pr, r in ei.active_pairs.items())),
             edge_ids=sol.edge_ids, cost=sol.cost, certificate=cert))
 
     solution = EdgeSolution.of(inst, union)
@@ -253,12 +242,10 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
 def solve_exact_vcsndp(inst: Instance,
                        budget: int = DEFAULT_NODE_BUDGET) -> EdgeSolution:
     """Exact minimum-cost VC-SNDP by branch and bound (desk-scale oracle)."""
-    from .element import _branch_and_bound
-
     if not inst.requirements:
         return EdgeSolution.of(inst, ())
     check_instance_feasible(inst)
-    return _branch_and_bound(
+    return branch_and_bound(
         inst,
         lambda ids: verify_vc_solution(
             inst, EdgeSolution.of(inst, ids)).feasible,

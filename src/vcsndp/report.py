@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .element import DEFAULT_NODE_BUDGET
 from .errors import BudgetExceededError, VcsndpError
@@ -94,18 +94,21 @@ class BenchmarkOptions:
 
 
 def benchmark(instances: Iterable[tuple[str, Instance]], cfg: PipelineConfig,
-              opts: BenchmarkOptions = BenchmarkOptions()) -> dict:
+              opts: BenchmarkOptions = BenchmarkOptions(),
+              mode_of: Callable[[Instance], str] | None = None) -> dict:
     """Run the pipeline (and the exact oracle where it completes) over a
-    corpus; per-instance failures are recorded, not fatal."""
+    corpus; per-instance failures are recorded, not fatal. `mode_of`, when
+    given, picks each instance's mode, and the report's mode is "auto"."""
     rows = []
     ratios = []
     for name, inst in instances:
-        row = {"name": name, "n": inst.n, "m": inst.m, "k": inst.k,
-               "tau": len(derive_terminals(inst)),
+        run_cfg = cfg if mode_of is None else replace(cfg, mode=mode_of(inst))
+        row = {"name": name, "mode": run_cfg.mode, "n": inst.n, "m": inst.m,
+               "k": inst.k, "tau": len(derive_terminals(inst)),
                "num_pairs": len(inst.requirements)}
         start = time.monotonic()
         try:
-            result = solve_pipeline(inst, cfg)
+            result = solve_pipeline(inst, run_cfg)
         except VcsndpError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
@@ -119,9 +122,6 @@ def benchmark(instances: Iterable[tuple[str, Instance]], cfg: PipelineConfig,
             "distinct_instances": len(result.records),
             "feasible": (result.verification.feasible
                          if result.verification else None),
-            "lp_bound_sum": sum(
-                rec.certificate.lp_lower_bound for rec in result.records
-                if rec.certificate) or None,
         })
         exact_opt = None
         if opts.exact_oracle:
@@ -141,7 +141,7 @@ def benchmark(instances: Iterable[tuple[str, Instance]], cfg: PipelineConfig,
             row["wall_time"] = time.monotonic() - start
         rows.append(row)
     return {
-        "mode": cfg.mode,
+        "mode": cfg.mode if mode_of is None else "auto",
         "seed": cfg.seed,
         "backend": cfg.backend,
         "instances": rows,

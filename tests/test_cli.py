@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 
@@ -158,3 +159,40 @@ def test_bench_command(tmp_path):
     invoke(["bench", str(corpus), "--seed", "4", "--verify",
             "--verify-family", "--no-timing", "--json", str(report)])
     assert report.read_bytes() == first
+
+
+def test_family_check_over_budget_exit_three():
+    code, _, err = invoke(["family", "--terminals", "40", "--k", "3",
+                           "--check"])
+    assert code == 3
+    assert "budget" in err
+
+
+def test_family_p_without_q_rejected():
+    code, _, err = invoke(["family", "--terminals", "4", "--k", "1",
+                           "--q", "2"])
+    assert code == 2
+    assert "--p and --q" in err
+
+
+def test_bench_auto_detects_mode_per_instance(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    cycle = "graph 4 4\nedge 0 1 1\nedge 1 2 1\nedge 2 3 1\nedge 3 0 1\n"
+    (corpus / "a_general.txt").write_text(cycle + "req 0 2 1\nreq 1 3 1\n")
+    (corpus / "b_source.txt").write_text(cycle + "req 0 1 1\nreq 0 2 2\n")
+    report = tmp_path / "bench.json"
+    code, _, _ = invoke(["bench", str(corpus), "--seed", "4", "--verify",
+                         "--no-exact", "--no-timing", "--json", str(report)])
+    assert code == 0
+    rep = json.loads(report.read_text())
+    assert rep["mode"] == "auto"
+    rows = {row["name"]: row for row in rep["instances"]}
+    assert rows["a_general.txt"]["mode"] == "general"
+    assert rows["b_source.txt"]["mode"] == "single-source"
+    for name, row in rows.items():
+        assert row["feasible"] is True
+        # the same detection and parameters as `solve` on that file
+        _, out, _ = invoke(["solve", str(corpus / name), "--seed", "4"])
+        assert f"mode {row['mode']}\n" in out
+        assert f"p {row['p']} q {row['q']} " in out

@@ -108,7 +108,17 @@ def test_lp_with_everything_purchased():
     ei = induce_element_instance(triangle(2), frozenset({0, 1}), {0, 1})
     state = solve_lp(ei, purchased=range(3))
     assert state.objective == 0
-    assert state.constraints == []
+    assert state.values == {}
+
+
+def test_lp_infeasible_pair_raises():
+    # the full graph gives (0,1) only 2 element-disjoint paths; with no
+    # up-front check the separation loop itself must reject r = 3
+    ei = induce_element_instance(triangle(3), frozenset({0, 1}), {0, 1})
+    with pytest.raises(InfeasibleError):
+        solve_lp(ei)
+    with pytest.raises(InfeasibleError):
+        solve_lp(ei, purchased={0})
 
 
 def test_lp_separation_soundness():

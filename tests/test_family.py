@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcsndp import family as fam
+from vcsndp.errors import BudgetExceededError
 from vcsndp.instance import pair
 
 
@@ -172,10 +173,20 @@ def test_goodness_monotone_under_perturbation(seed):
         assert f3.phi[s] & f3.phi[t] <= f3.phi[x]
 
 
+def test_resolve_params_override_or_default():
+    assert fam.resolve_params(2, 8, fam.GENERAL) == fam.default_params(2, 8)
+    params = fam.resolve_params(1, 4, fam.GENERAL, (6, 3))
+    assert (params.p, params.q, params.paper_relation) == (6, 3, True)
+    with pytest.raises(ValueError, match="2kq"):
+        fam.resolve_params(1, 4, fam.GENERAL, (5, 3))
+    assert not fam.resolve_params(1, 4, fam.GENERAL, (5, 3),
+                                  unsafe=True).paper_relation
+
+
 def test_budget_guard():
     params = fam.default_params(3, 40)
     f = fam.sample_family(range(40), params, seed=0)
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(BudgetExceededError, match="budget"):
         fam.is_good_family_general(
             f, all_pairs(range(40)), range(40), 3, budget=100)
 
