@@ -31,10 +31,7 @@ def main():
         hits = 0
         for seed in range(args.seeds):
             f = fam.sample_family(terms, params, seed)
-            if args.mode == fam.GENERAL:
-                hits += fam.is_good_family_general(f, prs, terms, args.k).good
-            else:
-                hits += fam.is_good_family_single_source(f, terms, args.k).good
+            hits += fam.is_good_family(f, terms, prs).good
         print(f"q={q:5d} p={params.p:6d}: good {hits}/{args.seeds}")
         q //= 2
 

@@ -34,6 +34,7 @@ from .family import (
     TerminalFamily,
     default_params,
     estimate_bad_events,
+    is_good_family,
     is_good_family_general,
     is_good_family_single_source,
     sample_family,
@@ -53,8 +54,6 @@ from .pipeline import (
     PipelineResult,
     solve_exact_vcsndp,
     solve_pipeline,
-    solve_single_source,
-    solve_vcsndp,
 )
 from .report import benchmark
 

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from functools import partial
+from itertools import combinations
 from pathlib import Path
 
 from . import family as fam
@@ -34,6 +35,7 @@ from .instance import (
 )
 from .pipeline import (
     PipelineConfig,
+    family_terminals,
     find_common_source,
     solve_exact_vcsndp,
     solve_pipeline,
@@ -221,13 +223,20 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_family(args, out) -> int:
     if args.from_instance is not None:
+        # the terminals and pairs that `solve` draws over and checks
         inst = parse_instance(args.from_instance.read_text())
-        terminals = sorted(derive_terminals(inst))
+        drawn, _ = family_terminals(inst, args.mode)
+        terminals = sorted(drawn)
+        tau = len(derive_terminals(inst))
+        pairs = list(inst.requirements)
     else:
         if args.terminals < 1:
             raise ValueError("--terminals must be >= 1")
         terminals = list(range(args.terminals))
-    basis = args.basis if args.basis is not None else max(2, len(terminals))
+        tau = len(terminals)
+        # lazy: only a general-mode --check reads the pairs
+        pairs = map(frozenset, combinations(terminals, 2))
+    basis = args.basis if args.basis is not None else max(2, tau)
     params = fam.resolve_params(args.k, basis, args.mode,
                                 _params_override(args), args.unsafe_params)
     family = fam.sample_family(terminals, params, args.seed)
@@ -237,15 +246,7 @@ def _cmd_family(args, out) -> int:
         out.write(fam.write_family(family))
     rc = EXIT_OK
     if args.check:
-        if args.mode == fam.GENERAL:
-            from itertools import combinations
-
-            pairs = [frozenset(c) for c in combinations(terminals, 2)]
-            report = fam.is_good_family_general(family, pairs, terminals,
-                                                args.k)
-        else:
-            report = fam.is_good_family_single_source(family, terminals,
-                                                      args.k)
+        report = fam.is_good_family(family, terminals, pairs)
         out.write(f"good {report.good}\n")
         if not report.good:
             out.write(f"witness {report.witness}\n")

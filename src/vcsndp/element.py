@@ -74,22 +74,16 @@ def _sorted_pairs(ei: ElementInstance):
     return sorted(ei.active_pairs, key=sorted)
 
 
-def _pairs_satisfied(ei: ElementInstance, edge_ids: frozenset[int]) -> bool:
-    return all(
-        element_connectivity_pair(
-            ei.inst, ei.terminals, *sorted(pr), edge_ids).value
-        >= ei.active_pairs[pr]
-        for pr in _sorted_pairs(ei))
-
-
-def _assert_fractionally_feasible(ei: ElementInstance):
+def _short_pair(ei: ElementInstance, edge_ids: frozenset[int] | None = None):
+    """The first active pair, in sorted order, whose element connectivity
+    over `edge_ids` (default: every edge) is below its requirement, with
+    that connectivity; None when every pair is served."""
     for pr in _sorted_pairs(ei):
-        u, v = sorted(pr)
-        got = element_connectivity_pair(ei.inst, ei.terminals, u, v).value
+        got = element_connectivity_pair(
+            ei.inst, ei.terminals, *sorted(pr), edge_ids).value
         if got < ei.active_pairs[pr]:
-            raise InfeasibleError(
-                f"pair ({u},{v}) needs {ei.active_pairs[pr]} element-disjoint "
-                f"paths but the full graph only provides {got}")
+            return pr, got
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +172,18 @@ def solve_iterative_rounding(
 ) -> tuple[EdgeSolution, SolveCertificate]:
     """Iterative rounding: re-solve the LP, buy the max-value free edge,
     until purchased edges alone satisfy every active pair."""
-    _assert_fractionally_feasible(ei)
+    short = _short_pair(ei)
+    if short is not None:
+        pr, got = short
+        u, v = sorted(pr)
+        raise InfeasibleError(
+            f"pair ({u},{v}) needs {ei.active_pairs[pr]} element-disjoint "
+            f"paths but the full graph only provides {got}")
     purchased: set[int] = set()
     log: list[tuple[int, float]] = []
     first_lp: float | None = None
 
-    while not _pairs_satisfied(ei, frozenset(purchased)):
+    while _short_pair(ei, frozenset(purchased)) is not None:
         lp = solve_lp(ei, purchased)
         if first_lp is None:
             first_lp = lp.objective
@@ -219,7 +219,7 @@ def solve_exact(ei: ElementInstance,
     """
     return branch_and_bound(
         ei.inst,
-        lambda ids: _pairs_satisfied(ei, ids),
+        lambda ids: _short_pair(ei, ids) is None,
         trivially_feasible=not ei.active_pairs,
         budget=budget)
 

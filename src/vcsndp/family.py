@@ -15,9 +15,9 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, TextIO
+from typing import Iterable
 
-from .errors import BudgetExceededError, ParseError
+from .errors import BudgetExceededError
 from .instance import Pair
 
 GENERAL = "general"
@@ -132,6 +132,43 @@ def _check_budget(n_subjects: int, tau: int, k: int, p: int, budget: int):
             f"over budget {budget}")
 
 
+# A subject is what the covering condition protects: a pair (s, t) in
+# general mode, one terminal t in single-source mode (the source lies in
+# every subset). Its shared set holds the indices drawn by all its members.
+_WIDTH = {GENERAL: 2, SINGLE_SOURCE: 1}
+_NOTE = {GENERAL: "phi(s) & phi(t) is covered by phi(X)",
+         SINGLE_SOURCE: "phi(t) is covered by phi(X)"}
+
+
+def _members(subject, mode: str) -> tuple[int, ...]:
+    return subject if mode == GENERAL else (subject,)
+
+
+def _shared(family: TerminalFamily, members: tuple[int, ...]) -> frozenset[int]:
+    return frozenset.intersection(
+        *(family.phi.get(x, frozenset()) for x in members))
+
+
+def _covering_check(family: TerminalFamily, mode: str, subjects: list,
+                    terms: list[int], k: int, budget: int) -> GoodnessReport:
+    """Exhaustive covering check: for every subject and every blocking set
+    X of at most k-1 other terminals, some shared index lies outside
+    phi(X)."""
+    # _check_budget counts blocking sets among tau - 2 terminals
+    _check_budget(len(subjects), len(terms) + 2 - _WIDTH[mode], k,
+                  family.params.p, budget)
+    for subject in subjects:
+        members = _members(subject, mode)
+        shared = _shared(family, members)
+        others = [x for x in terms if x not in members]
+        for size in range(k):
+            for xs in combinations(others, size):
+                if shared <= family.phi_of(xs):
+                    return GoodnessReport(False, (
+                        subject, frozenset(xs), _NOTE[mode]))
+    return GoodnessReport(True)
+
+
 def is_good_family_general(
     family: TerminalFamily, pairs: Iterable[Pair],
     terminals: Iterable[int], k: int,
@@ -140,20 +177,9 @@ def is_good_family_general(
     """Exhaustive check of the covering condition for every pair and every
     blocking set X of at most k-1 terminals: some index must lie in
     phi(s) & phi(t) but outside phi(X)."""
-    terms = sorted(set(terminals))
-    prs = sorted(pairs, key=sorted)
-    _check_budget(len(prs), len(terms), k, family.params.p, budget)
-    for pr in prs:
-        s, t = sorted(pr)
-        shared = family.phi.get(s, frozenset()) & family.phi.get(t, frozenset())
-        others = [x for x in terms if x not in pr]
-        for size in range(k):
-            for xs in combinations(others, size):
-                if shared <= family.phi_of(xs):
-                    return GoodnessReport(False, (
-                        (s, t), frozenset(xs),
-                        "phi(s) & phi(t) is covered by phi(X)"))
-    return GoodnessReport(True)
+    subjects = [tuple(sorted(pr)) for pr in sorted(pairs, key=sorted)]
+    return _covering_check(family, GENERAL, subjects, sorted(set(terminals)),
+                           k, budget)
 
 
 def is_good_family_single_source(
@@ -162,16 +188,18 @@ def is_good_family_single_source(
 ) -> GoodnessReport:
     """Per-terminal covering condition: some index in phi(t) \\ phi(X)."""
     terms = sorted(set(terminals))
-    _check_budget(len(terms), len(terms) + 1, k, family.params.p, budget)
-    for t in terms:
-        mine = family.phi.get(t, frozenset())
-        others = [x for x in terms if x != t]
-        for size in range(k):
-            for xs in combinations(others, size):
-                if mine <= family.phi_of(xs):
-                    return GoodnessReport(False, (
-                        t, frozenset(xs), "phi(t) is covered by phi(X)"))
-    return GoodnessReport(True)
+    return _covering_check(family, SINGLE_SOURCE, terms, terms, k, budget)
+
+
+def is_good_family(family: TerminalFamily, terminals: Iterable[int],
+                   pairs: Iterable[Pair]) -> GoodnessReport:
+    """The covering check of the family's own mode, at its own k. `pairs`
+    is read in general mode only: in single-source mode every subject is a
+    terminal, and the source joins every subset."""
+    params = family.params
+    if params.mode == GENERAL:
+        return is_good_family_general(family, pairs, terminals, params.k)
+    return is_good_family_single_source(family, terminals, params.k)
 
 
 def is_good_family_general_subset_check(
@@ -197,12 +225,7 @@ def is_good_family_general_subset_check(
 def replay_witness(family: TerminalFamily, witness, mode: str) -> bool:
     """True iff the witness really breaks the covering condition."""
     subject, xs, _ = witness
-    phix = family.phi_of(xs)
-    if mode == GENERAL:
-        s, t = subject
-        return (family.phi.get(s, frozenset())
-                & family.phi.get(t, frozenset())) <= phix
-    return family.phi.get(subject, frozenset()) <= phix
+    return _shared(family, _members(subject, mode)) <= family.phi_of(xs)
 
 
 def estimate_bad_events(
@@ -212,12 +235,14 @@ def estimate_bad_events(
 
     General mode: e1 = overlap event |phi(s) & phi(X)| >= 3q/4, e2 =
     covering event phi(s) & phi(t) <= phi(X), with (s, t, X) uniform and
-    |X| = k-1. Single-source mode: the covering event is phi(t) <= phi(X).
+    |X| = k-1. Single-source mode: the subject is one terminal t, and the
+    events read phi(t) in place of phi(s) and of phi(s) & phi(t).
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
     terms = sorted(set(terminals))
-    needed = 2 + (params.k - 1)
+    width = _WIDTH[params.mode]
+    needed = width + (params.k - 1)
     if len(terms) < needed:
         raise ValueError(f"need at least {needed} terminals, got {len(terms)}")
     rng = random.Random(seed)
@@ -225,24 +250,15 @@ def estimate_bad_events(
     threshold = 3 * params.q / 4
     for _ in range(trials):
         fam = sample_family(terms, params, rng.getrandbits(63))
-        if params.mode == GENERAL:
-            s, t = rng.sample(terms, 2)
-            rest = [x for x in terms if x not in (s, t)]
-            xs = rng.sample(rest, params.k - 1)
-            phix = fam.phi_of(xs)
-            if len(fam.phi[s] & phix) >= threshold:
-                hits1 += 1
-            if (fam.phi[s] & fam.phi[t]) <= phix:
-                hits2 += 1
-        else:
-            t = rng.choice(terms)
-            rest = [x for x in terms if x != t]
-            xs = rng.sample(rest, params.k - 1)
-            phix = fam.phi_of(xs)
-            if len(fam.phi[t] & phix) >= threshold:
-                hits1 += 1
-            if fam.phi[t] <= phix:
-                hits2 += 1
+        # one draw of width w consumes the RNG as rng.choice does for w = 1
+        members = tuple(rng.sample(terms, width))
+        rest = [x for x in terms if x not in members]
+        xs = rng.sample(rest, params.k - 1)
+        phix = fam.phi_of(xs)
+        if len(fam.phi[members[0]] & phix) >= threshold:
+            hits1 += 1
+        if _shared(fam, members) <= phix:
+            hits2 += 1
     return hits1 / trials, hits2 / trials
 
 
@@ -253,29 +269,3 @@ def write_family(family: TerminalFamily) -> str:
         idx = " ".join(str(i) for i in sorted(family.phi[t]))
         out.append(f"phi {t} {idx}".rstrip())
     return "\n".join(out) + "\n"
-
-
-def parse_family(stream: TextIO | str, params: FamilyParams) -> TerminalFamily:
-    text = stream if isinstance(stream, str) else stream.read()
-    lines = [(ln, raw.split()) for ln, raw in
-             enumerate(text.splitlines(), start=1) if raw.strip()]
-    if not lines or lines[0][1][:1] != ["family"]:
-        raise ParseError("expected 'family <p> <q> <seed>' header")
-    ln, head = lines[0]
-    if len(head) != 4:
-        raise ParseError("expected 'family <p> <q> <seed>'", ln)
-    p, q, seed = int(head[1]), int(head[2]), int(head[3])
-    if (p, q) != (params.p, params.q):
-        raise ParseError(f"header (p={p}, q={q}) does not match params", ln)
-    phi = {}
-    for ln, toks in lines[1:]:
-        if toks[0] != "phi":
-            raise ParseError(f"unknown directive '{toks[0]}'", ln)
-        t = int(toks[1])
-        idx = frozenset(int(x) for x in toks[2:])
-        if any(i < 1 or i > p for i in idx):
-            raise ParseError("index outside 1..p", ln)
-        if len(idx) > q:
-            raise ParseError(f"more than q={q} distinct indices", ln)
-        phi[t] = idx
-    return TerminalFamily(params=params, seed=seed, phi=phi)

@@ -1,13 +1,14 @@
 """End-to-end VC-SNDP solving via the element-connectivity reduction.
 
-General mode: sample a family of terminal subsets, induce one element
-instance per subset, solve each with the chosen backend, return the union
-of the purchased edge sets. Single-source mode does the same with the
-per-terminal family and source-rooted pairs. Identical induced instances
-(same active-pair set) are solved once; the representative is solved with
-the minimal terminal set (the active-pair endpoints, plus the source in
-single-source mode), which is at least as constrained as any subset in
-its class, so reuse preserves feasibility.
+Sample a family of terminal subsets, induce one element instance per
+subset, solve each with the chosen backend, return the union of the
+purchased edge sets. The two modes differ only in the family's rate and
+in a pinned terminal: single-source mode draws the family over the sinks
+and pins the common source, which joins every subset. Identical induced
+instances (same requirement-pair set) are solved once; the representative
+is solved with the minimal terminal set (the endpoints of its pairs), which
+is at least as constrained as any subset in its class, so reuse preserves
+feasibility.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .element import (
     solve_iterative_rounding,
 )
 from .errors import FamilyNotGoodError, InfeasibleError
-from .instance import EdgeSolution, Instance, derive_terminals, pair
+from .instance import EdgeSolution, Instance, derive_terminals
 
 BACKENDS = ("iterative", "exact")
 
@@ -99,6 +100,28 @@ def check_instance_feasible(inst: Instance) -> None:
                 f"full graph only provides {got}")
 
 
+def find_common_source(inst: Instance) -> int:
+    """The vertex shared by all requirement pairs; smallest id on ties."""
+    if not inst.requirements:
+        raise InfeasibleError("instance has no requirements")
+    common = None
+    for pr in inst.requirements:
+        common = set(pr) if common is None else common & pr
+    if not common:
+        raise InfeasibleError("requirement pairs share no common source")
+    return min(common)
+
+
+def family_terminals(inst: Instance, mode: str
+                     ) -> tuple[frozenset[int], frozenset[int]]:
+    """(terminals the family is drawn over, pinned terminals). Single-source
+    mode pins the common source: it draws no indices and joins every
+    subset."""
+    pinned = (frozenset({find_common_source(inst)})
+              if mode == fam.SINGLE_SOURCE else frozenset())
+    return derive_terminals(inst) - pinned, pinned
+
+
 def _sample_good_family(terminals, params, cfg, pairs):
     """Sample; when verification is on, resample with seed+1 until good."""
     last_witness = None
@@ -106,11 +129,7 @@ def _sample_good_family(terminals, params, cfg, pairs):
         f = fam.sample_family(terminals, params, cfg.seed + attempt)
         if not cfg.verify_family:
             return f, attempt
-        if cfg.mode == fam.GENERAL:
-            report = fam.is_good_family_general(f, pairs, terminals,
-                                                params.k)
-        else:
-            report = fam.is_good_family_single_source(f, terminals, params.k)
+        report = fam.is_good_family(f, terminals, pairs)
         if report.good:
             return f, attempt
         last_witness = report.witness
@@ -126,30 +145,35 @@ def _solve_backend(ei: ElementInstance, cfg: PipelineConfig):
     return solve_iterative_rounding(ei)
 
 
-def _run_pipeline(inst: Instance, cfg: PipelineConfig, terminals, pairs,
-                  active_pairs_of, extra_terminals, source) -> PipelineResult:
+def solve_pipeline(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
+    """VC-SNDP in `cfg.mode` by the good-family reduction to element
+    instances."""
     if not inst.requirements:
         raise InfeasibleError("instance has no requirements")
+    drawn, pinned = family_terminals(inst, cfg.mode)
     check_instance_feasible(inst)
-    all_terminals = terminals | extra_terminals
-    basis = max(2, len(all_terminals) if cfg.log_basis == "tau" else inst.n)
+    terminals = derive_terminals(inst)
+    basis = max(2, len(terminals) if cfg.log_basis == "tau" else inst.n)
     params = fam.resolve_params(inst.k, basis, cfg.mode,
                                 cfg.params_override, cfg.unsafe_params)
-    family, resamples = _sample_good_family(terminals, params, cfg, pairs)
+    pairs = frozenset(inst.requirements)
+    family, resamples = _sample_good_family(drawn, params, cfg, pairs)
 
     subsets = family.subsets
-    # group subset indices by induced active-pair set
+    # group subset indices by the requirement pairs inside T_i + pinned
     class_of: dict[frozenset, list[int]] = {}
     for i in range(1, params.p + 1):
-        active = active_pairs_of(subsets[i])
-        if active:
-            class_of.setdefault(frozenset(active), []).append(i)
+        held = subsets[i] | pinned
+        key = frozenset(pr for pr in pairs if pr <= held)
+        if key:
+            class_of.setdefault(key, []).append(i)
 
     keys = sorted(class_of, key=lambda key: min(class_of[key]))
-    # the class's endpoints induce exactly the class's active pairs
-    instances = [induce_element_instance(
-        inst, all_terminals, frozenset().union(*key) | extra_terminals)
-        for key in keys]
+    # the class's endpoints, the pinned source among them, induce exactly
+    # the class's pairs
+    instances = [induce_element_instance(inst, terminals,
+                                         frozenset().union(*key))
+                 for key in keys]
     if cfg.jobs > 1 and len(instances) > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             solved = list(pool.map(_solve_backend, instances,
@@ -190,53 +214,8 @@ def _run_pipeline(inst: Instance, cfg: PipelineConfig, terminals, pairs,
     return PipelineResult(
         solution=solution, family=family, records=tuple(records),
         subset_classes=subset_classes, verification=verification,
-        cost_bound=cost_bound, resamples_used=resamples, source=source)
-
-
-def solve_vcsndp(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
-    """General VC-SNDP: good-family reduction to element instances."""
-    if cfg.mode != fam.GENERAL:
-        raise ValueError("config mode must be 'general'")
-    terminals = derive_terminals(inst)
-    pairs = frozenset(inst.requirements)
-
-    def active_pairs_of(subset):
-        return [pr for pr in pairs if pr <= subset]
-
-    return _run_pipeline(inst, cfg, terminals, pairs, active_pairs_of,
-                         extra_terminals=frozenset(), source=None)
-
-
-def find_common_source(inst: Instance) -> int:
-    """The vertex shared by all requirement pairs; smallest id on ties."""
-    if not inst.requirements:
-        raise InfeasibleError("instance has no requirements")
-    common = None
-    for pr in inst.requirements:
-        common = set(pr) if common is None else common & pr
-    if not common:
-        raise InfeasibleError("requirement pairs share no common source")
-    return min(common)
-
-
-def solve_single_source(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
-    """Single-source VC-SNDP: family over sinks, source joins every subset."""
-    if cfg.mode != fam.SINGLE_SOURCE:
-        raise ValueError("config mode must be 'single-source'")
-    s = find_common_source(inst)
-    sinks = derive_terminals(inst) - {s}
-    pairs = frozenset(inst.requirements)
-
-    def active_pairs_of(subset):
-        return [pair(s, t) for t in sorted(subset) if pair(s, t) in pairs]
-
-    return _run_pipeline(inst, cfg, sinks, pairs, active_pairs_of,
-                         extra_terminals=frozenset({s}), source=s)
-
-
-def solve_pipeline(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
-    return (solve_single_source(inst, cfg)
-            if cfg.mode == fam.SINGLE_SOURCE else solve_vcsndp(inst, cfg))
+        cost_bound=cost_bound, resamples_used=resamples,
+        source=min(pinned, default=None))
 
 
 def solve_exact_vcsndp(inst: Instance,

@@ -26,7 +26,7 @@ from vcsndp.element import (
 from vcsndp.errors import GenerationError
 from vcsndp.generate import generate_instance
 from vcsndp.instance import Instance
-from vcsndp.pipeline import PipelineConfig, solve_exact_vcsndp, solve_vcsndp
+from vcsndp.pipeline import PipelineConfig, solve_exact_vcsndp, solve_pipeline
 
 TOL = 1e-6
 
@@ -80,7 +80,7 @@ def test_criterion_2_feasibility_of_good_family_runs():
         for seed in (11, 22, 33):
             cfg = PipelineConfig(seed=seed, verify_family=True,
                                  verify_solution=True)
-            result = solve_vcsndp(inst, cfg)
+            result = solve_pipeline(inst, cfg)
             runs += 1
             passes += result.verification.feasible
     _line(2, "good family implies feasible", runs == 150 and passes == 150)
@@ -169,7 +169,7 @@ def test_criterion_7_per_run_cost_bound():
     ok = True
     ratios = []
     for inst in corpus:
-        res = solve_vcsndp(inst, PipelineConfig(seed=1, verify_family=True))
+        res = solve_pipeline(inst, PipelineConfig(seed=1, verify_family=True))
         opt = solve_exact_vcsndp(inst)
         ok &= res.solution.cost <= 2 * res.family.params.p * opt.cost
         if opt.cost > 0:
@@ -182,8 +182,8 @@ def test_criterion_7_per_run_cost_bound():
 def test_criterion_8_hand_derived_golden_cases():
     ok = True
     # C4 opposite pair r=2, exact backend: cost 4
-    res = solve_vcsndp(c4(), PipelineConfig(seed=1, backend="exact",
-                                            verify_family=True))
+    res = solve_pipeline(c4(), PipelineConfig(seed=1, backend="exact",
+                                              verify_family=True))
     ok &= res.solution.cost == 4 and res.verification.feasible
     # triangle with non-terminal corner: exact 3, LP 3, iterative 3
     ei = induce_element_instance(triangle(2), frozenset({0, 1}), {0, 1})

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from vcsndp import family as fam
 from vcsndp.cli import run
+from vcsndp.instance import write_instance
 
 FEASIBLE = "graph 4 4\nedge 0 1 1\nedge 1 2 1\nedge 2 3 1\nedge 3 0 1\nreq 0 2 2\n"
 
@@ -123,6 +125,39 @@ def test_family_dump_and_estimate():
     assert code == 0
     assert "family 178 89 1" in out  # q = ceil(64 ln 4) = 89, p = 178
     assert "rate_e1 0.0" in out
+
+
+def test_family_from_single_source_draws_over_the_sinks(tmp_path):
+    # the golden wheel: source 0, sinks 2, 5, 7, so tau = 4; `solve --seed
+    # 11` draws this family first
+    from test_golden import _wheel
+
+    path = tmp_path / "wheel.txt"
+    path.write_text(write_instance(_wheel()))
+    code, out, _ = invoke(["family", "--from", str(path), "--k", "3",
+                           "--mode", "single-source", "--seed", "11",
+                           "--dump"])
+    assert code == 0
+    params = fam.default_params(3, 4, fam.SINGLE_SOURCE)
+    family = fam.sample_family([2, 5, 7], params, 11)
+    assert out == (f"mode single-source k 3 basis 4 p {params.p} "
+                   f"q {params.q}\n" + fam.write_family(family))
+
+
+def test_family_from_checks_the_instance_pairs(tmp_path):
+    # at seed 3, terminals 0 and 1 draw index 1 and terminals 2 and 3 draw
+    # index 2: good for the pairs (0,1) and (2,3), bad for the pair (0,2)
+    path = tmp_path / "two_pairs.txt"
+    path.write_text("graph 4 4\nedge 0 1 1\nedge 1 2 1\nedge 2 3 1\n"
+                    "edge 3 0 1\nreq 0 1 1\nreq 2 3 1\n")
+    code, out, _ = invoke(["family", "--from", str(path), "--k", "1",
+                           "--p", "2", "--q", "1", "--seed", "3", "--check"])
+    assert code == 0
+    assert "good True" in out
+    code, out, _ = invoke(["family", "--terminals", "4", "--k", "1",
+                           "--p", "2", "--q", "1", "--seed", "3", "--check"])
+    assert code == 1
+    assert "witness ((0, 2), frozenset(), " in out
 
 
 def test_exact_command(inst_file):

@@ -129,6 +129,27 @@ def test_checker_equivalence_on_random_families(rng):
     assert 0 < agree < 40  # small p: both verdicts occur
 
 
+def test_single_source_check_matches_subset_check():
+    # the single-source condition is the general one with the source in
+    # every subset: phi(source) = {1..p} and pairs (source, t)
+    sinks = list(range(1, 6))
+    verdicts = set()
+    for k, q in ((1, 1), (2, 2), (3, 1)):
+        params = fam.override_params(k, 6, fam.SINGLE_SOURCE,
+                                     p=2 * k * q, q=q)
+        full = frozenset(range(1, params.p + 1))
+        for seed in range(30):
+            f = fam.sample_family(sinks, params, seed)
+            pinned = fam.TerminalFamily(params=params, seed=seed,
+                                        phi={**f.phi, 0: full})
+            a = fam.is_good_family_single_source(f, sinks, k)
+            b = fam.is_good_family_general_subset_check(
+                pinned, [pair(0, t) for t in sinks], [0, *sinks], k)
+            assert a.good == b.good
+            verdicts.add(a.good)
+    assert verdicts == {True, False}
+
+
 def test_witnesses_replay(rng):
     terms = list(range(5))
     prs = all_pairs(terms)
@@ -211,12 +232,33 @@ def test_estimate_bad_events_requires_enough_terminals():
     params = fam.default_params(3, 4)
     with pytest.raises(ValueError, match="terminals"):
         fam.estimate_bad_events(range(3), params, seed=0, trials=10)
+    # single-source: one terminal and its k-1 blockers, so k terminals
+    ss = fam.default_params(2, 3, fam.SINGLE_SOURCE)
+    assert fam.estimate_bad_events(range(2), ss, seed=1, trials=10) == (0, 0)
+    with pytest.raises(ValueError, match="need at least 2 terminals, got 1"):
+        fam.estimate_bad_events(range(1), ss, seed=1, trials=10)
+
+
+@pytest.mark.parametrize("mode, rates", [
+    (fam.GENERAL, (0.0275, 0.6525)),
+    (fam.SINGLE_SOURCE, (0.0325, 0.0525)),
+])
+def test_estimate_bad_events_pinned_rates(mode, rates):
+    # pins the RNG draw order of both modes
+    params = fam.override_params(2, 5, mode, p=8, q=2)
+    assert fam.estimate_bad_events(range(5), params, seed=3,
+                                   trials=400) == rates
 
 
 def test_family_dump_roundtrip():
+    # the `family --dump` lines: a header, then one sorted phi line per
+    # terminal, bare when the terminal drew nothing
     params = fam.default_params(2, 6)
     f = fam.sample_family(range(6), params, seed=9)
     text = fam.write_family(f)
     assert text.startswith(f"family {params.p} {params.q} 9\n")
-    parsed = fam.parse_family(text, params)
-    assert parsed.phi == f.phi
+    small = fam.override_params(1, 4, fam.GENERAL, p=6, q=3)
+    f = fam.sample_family(range(3), small, seed=9)
+    f = fam.TerminalFamily(params=small, seed=9, phi={**f.phi, 3: frozenset()})
+    assert fam.write_family(f) == (
+        "family 6 3 9\nphi 0 3 4 5\nphi 1 2 3\nphi 2 1 3 6\nphi 3\n")

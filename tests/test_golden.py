@@ -1,9 +1,11 @@
 """Golden pins on the exact-valued outputs of `solve`.
 
-Solution edge ids, exact cost, `cost_bound_2p_lb` and per-class edge ids
-for three criterion-2 instances (general mode) and one wheel instance
-(single-source mode), all at `--seed 11` with both checks on. Float
-fields are left out so the pins do not depend on LP rounding noise.
+Solution edge ids, exact cost, `cost_bound_2p_lb`, per-class edge ids and
+each class's multiplicity, terminals and active pairs, for three
+criterion-2 instances (general mode) and one wheel instance (single-source
+mode, where the source 0 joins every class), all at `--seed 11` with both
+checks on. Float fields are left out so the pins do not depend on LP
+rounding noise.
 A refactor must keep these; a deliberate change to them belongs in
 CHANGES.md with the reason.
 """
@@ -57,6 +59,32 @@ GOLDEN = {
                [4, 6, 7, 12, 13, 14]]),
 }
 
+# per class: (multiplicity, terminals, active pairs as [u, v, r])
+CLASSES = {
+    "er0": [(25, [0, 1], [[0, 1, 1]]), (14, [1, 5], [[1, 5, 1]]),
+            (22, [2, 4], [[2, 4, 1]]),
+            (10, [0, 1, 5], [[0, 1, 1], [1, 5, 1]]),
+            (2, [1, 2, 4, 5], [[1, 5, 1], [2, 4, 1]]),
+            (3, [0, 1, 2, 4, 5], [[0, 1, 1], [1, 5, 1], [2, 4, 1]]),
+            (4, [0, 1, 2, 4], [[0, 1, 1], [2, 4, 1]])],
+    "er1": [(9, [3, 6], [[3, 6, 1]]),
+            (8, [3, 5, 6], [[3, 6, 1], [5, 6, 1]]),
+            (9, [0, 5, 6], [[0, 6, 1], [5, 6, 1]]),
+            (8, [5, 6], [[5, 6, 1]]),
+            (5, [0, 3, 6], [[0, 6, 1], [3, 6, 1]]),
+            (12, [0, 6], [[0, 6, 1]]),
+            (7, [0, 3, 5, 6], [[0, 6, 1], [3, 6, 1], [5, 6, 1]])],
+    "er2": [(12, [2, 4], [[2, 4, 1]]), (17, [4, 6], [[4, 6, 1]]),
+            (8, [2, 4, 5], [[2, 4, 1], [2, 5, 1]]),
+            (18, [2, 5], [[2, 5, 1]]),
+            (5, [2, 4, 6], [[2, 4, 1], [4, 6, 1]]),
+            (7, [2, 4, 5, 6], [[2, 4, 1], [2, 5, 1], [4, 6, 1]])],
+    "wheel": [(7, [0, 7], [[0, 7, 3]]), (4, [0, 5], [[0, 5, 2]]),
+              (3, [0, 2, 5], [[0, 2, 3], [0, 5, 2]]),
+              (5, [0, 2], [[0, 2, 3]]),
+              (2, [0, 5, 7], [[0, 5, 2], [0, 7, 3]])],
+}
+
 
 def _cases():
     cases = {f"er{i}": (inst, ["--single-source", "off"])
@@ -81,3 +109,5 @@ def test_solve_exact_outputs_are_pinned(name, tmp_path):
     assert rep["solution"]["cost"]["exact"] == cost
     assert rep["cost_bound_2p_lb"]["exact"] == bound
     assert [rec["edge_ids"] for rec in rep["per_instance"]] == classes
+    assert [(rec["multiplicity"], rec["terminals"], rec["active_pairs"])
+            for rec in rep["per_instance"]] == CLASSES[name]

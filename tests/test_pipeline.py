@@ -12,8 +12,6 @@ from vcsndp.pipeline import (
     find_common_source,
     solve_exact_vcsndp,
     solve_pipeline,
-    solve_single_source,
-    solve_vcsndp,
 )
 from vcsndp.report import BenchmarkOptions, benchmark, dumps, result_to_dict
 
@@ -35,7 +33,7 @@ def feasible_instances(count, rng, n_max=10, k_max=2, pairs=2):
 
 def test_c4_exact_backend_golden():
     cfg = PipelineConfig(seed=1, backend="exact", verify_family=True)
-    res = solve_vcsndp(c4(), cfg)
+    res = solve_pipeline(c4(), cfg)
     assert res.solution.cost == 4
     assert res.verification.feasible
     assert res.solution.edge_ids == {0, 1, 2, 3}
@@ -47,7 +45,7 @@ def test_k1_override_collapses_to_single_instance():
                         (0, 2, Fraction(5))), {pair(0, 2): 1})
     cfg = PipelineConfig(seed=0, backend="exact", params_override=(1, 1),
                          unsafe_params=True, verify_family=True)
-    res = solve_vcsndp(inst, cfg)
+    res = solve_pipeline(inst, cfg)
     assert res.family.params.p == 1
     assert len(res.records) == 1
     assert res.verification.feasible
@@ -57,7 +55,7 @@ def test_k1_override_collapses_to_single_instance():
 def test_union_law_and_cost_subadditivity():
     rng = random.Random(4)
     for inst in feasible_instances(5, rng):
-        res = solve_vcsndp(inst, PipelineConfig(seed=2, verify_family=True))
+        res = solve_pipeline(inst, PipelineConfig(seed=2, verify_family=True))
         union = frozenset().union(*(r.edge_ids for r in res.records))
         assert res.solution.edge_ids == union
         assert res.solution.cost <= sum(r.cost for r in res.records)
@@ -66,7 +64,7 @@ def test_union_law_and_cost_subadditivity():
 def test_verified_families_give_feasible_solutions():
     rng = random.Random(8)
     for inst in feasible_instances(6, rng):
-        res = solve_vcsndp(inst, PipelineConfig(seed=3, verify_family=True))
+        res = solve_pipeline(inst, PipelineConfig(seed=3, verify_family=True))
         assert res.verification.feasible
 
 
@@ -74,8 +72,8 @@ def test_determinism():
     rng = random.Random(10)
     (inst,) = feasible_instances(1, rng)
     cfg = PipelineConfig(seed=7, verify_family=True)
-    a = dumps(result_to_dict(inst, cfg, solve_vcsndp(inst, cfg)))
-    b = dumps(result_to_dict(inst, cfg, solve_vcsndp(inst, cfg)))
+    a = dumps(result_to_dict(inst, cfg, solve_pipeline(inst, cfg)))
+    b = dumps(result_to_dict(inst, cfg, solve_pipeline(inst, cfg)))
     assert a == b
 
 
@@ -84,8 +82,8 @@ def test_jobs_do_not_change_output():
     (inst,) = feasible_instances(1, rng)
     cfg1 = PipelineConfig(seed=5, verify_family=True, jobs=1)
     cfg4 = PipelineConfig(seed=5, verify_family=True, jobs=4)
-    r1 = solve_vcsndp(inst, cfg1)
-    r4 = solve_vcsndp(inst, cfg4)
+    r1 = solve_pipeline(inst, cfg1)
+    r4 = solve_pipeline(inst, cfg4)
     assert r1.solution == r4.solution
     assert r1.records == r4.records
 
@@ -94,7 +92,7 @@ def test_infeasible_instance_rejected():
     inst = Instance(3, ((0, 1, Fraction(1)), (1, 2, Fraction(1))),
                     {pair(0, 2): 2})
     with pytest.raises(InfeasibleError):
-        solve_vcsndp(inst, PipelineConfig(seed=0))
+        solve_pipeline(inst, PipelineConfig(seed=0))
     with pytest.raises(InfeasibleError):
         solve_exact_vcsndp(inst)
 
@@ -102,7 +100,7 @@ def test_infeasible_instance_rejected():
 def test_empty_requirements_rejected():
     inst = Instance(3, ((0, 1, Fraction(1)),))
     with pytest.raises(InfeasibleError):
-        solve_vcsndp(inst, PipelineConfig(seed=0))
+        solve_pipeline(inst, PipelineConfig(seed=0))
 
 
 def test_exact_vcsndp_shortest_path_case():
@@ -119,7 +117,7 @@ def test_single_source_star():
     cfg = PipelineConfig(mode="single-source", seed=1, backend="exact",
                          params_override=(1, 1), unsafe_params=True,
                          verify_family=True)
-    res = solve_single_source(star, cfg)
+    res = solve_pipeline(star, cfg)
     assert res.source == 0
     assert res.solution.edge_ids == {0, 1, 2, 3}
     assert res.verification.feasible
@@ -130,7 +128,7 @@ def test_single_source_wheel_r3():
     # rebuild with a guaranteed r=3 hub requirement
     inst = Instance(hub.n, hub.edges, {pair(0, 2): 3})
     cfg = PipelineConfig(mode="single-source", seed=1, verify_family=True)
-    res = solve_single_source(inst, cfg)
+    res = solve_pipeline(inst, cfg)
     assert res.verification.feasible
     opt = solve_exact_vcsndp(inst)
     assert opt.cost <= res.solution.cost
@@ -142,7 +140,7 @@ def test_single_source_requires_common_vertex():
                              for v in range(u + 1, 4)),
                     {pair(0, 1): 1, pair(2, 3): 1})
     with pytest.raises(InfeasibleError, match="common source"):
-        solve_single_source(inst, PipelineConfig(mode="single-source"))
+        solve_pipeline(inst, PipelineConfig(mode="single-source"))
 
 
 def test_find_common_source():
@@ -155,7 +153,7 @@ def test_find_common_source():
 def test_cost_bound_2p_opt():
     rng = random.Random(21)
     for inst in feasible_instances(3, rng, n_max=8, pairs=2):
-        res = solve_vcsndp(inst, PipelineConfig(seed=9, verify_family=True))
+        res = solve_pipeline(inst, PipelineConfig(seed=9, verify_family=True))
         opt = solve_exact_vcsndp(inst)
         assert res.solution.cost <= 2 * res.family.params.p * opt.cost
 
@@ -163,7 +161,7 @@ def test_cost_bound_2p_opt():
 def test_skipped_subsets_have_no_active_pairs():
     rng = random.Random(30)
     (inst,) = feasible_instances(1, rng)
-    res = solve_vcsndp(inst, PipelineConfig(seed=11, verify_family=True))
+    res = solve_pipeline(inst, PipelineConfig(seed=11, verify_family=True))
     subsets = res.family.subsets
     for i, slot in res.subset_classes.items():
         active = [pr for pr in inst.requirements if pr <= subsets[i]]
