@@ -26,6 +26,7 @@ from .errors import (
     GenerationError,
     InfeasibleError,
     ParseError,
+    SolverError,
     VcsndpError,
 )
 from .family import (

@@ -2,7 +2,8 @@
 
 Subcommands: gen, solve, verify, family, exact, bench.
 Exit codes: 0 success/feasible, 1 infeasible or not-good, 2 usage/input
-error, 3 search budget exceeded.
+error, 3 search budget exceeded, 4 solver failure (the LP solver stopped
+without an optimum or a proof of infeasibility).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     GenerationError,
     InfeasibleError,
     ParseError,
+    SolverError,
 )
 from .generate import MODELS, generate_instance
 from .instance import (
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_SOLVER = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,7 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use terminals 0..count-1")
     src.add_argument("--from", dest="from_instance", type=Path,
                      help="derive terminals from an instance file")
-    f.add_argument("--k", type=int, required=True)
+    f.add_argument("--k", type=int, default=None,
+                   help="connectivity; with --from: default and only "
+                        "accepted value the instance's largest requirement")
     f.add_argument("--basis", type=int, default=None,
                    help="log basis; default: terminal count")
     f.add_argument("--mode", choices=fam.MODES, default=fam.GENERAL)
@@ -225,11 +230,18 @@ def _cmd_family(args, out) -> int:
     if args.from_instance is not None:
         # the terminals and pairs that `solve` draws over and checks
         inst = parse_instance(args.from_instance.read_text())
+        k = inst.k
+        if args.k not in (None, k):
+            raise ValueError(f"--k {args.k} differs from the instance's "
+                             f"largest requirement {k}")
         drawn, _ = family_terminals(inst, args.mode)
         terminals = sorted(drawn)
         tau = len(derive_terminals(inst))
         pairs = list(inst.requirements)
     else:
+        if args.k is None:
+            raise ValueError("--terminals needs --k")
+        k = args.k
         if args.terminals < 1:
             raise ValueError("--terminals must be >= 1")
         terminals = list(range(args.terminals))
@@ -237,7 +249,7 @@ def _cmd_family(args, out) -> int:
         # lazy: only a general-mode --check reads the pairs
         pairs = map(frozenset, combinations(terminals, 2))
     basis = args.basis if args.basis is not None else max(2, tau)
-    params = fam.resolve_params(args.k, basis, args.mode,
+    params = fam.resolve_params(k, basis, args.mode,
                                 _params_override(args), args.unsafe_params)
     family = fam.sample_family(terminals, params, args.seed)
     out.write(f"mode {params.mode} k {params.k} basis {params.basis} "
@@ -322,6 +334,9 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     except BudgetExceededError as exc:
         err.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
+    except SolverError as exc:
+        err.write(f"solver failure: {exc}\n")
+        return EXIT_SOLVER
 
 
 def main() -> None:

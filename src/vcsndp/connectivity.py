@@ -7,11 +7,15 @@ edges effectively-infinite arcs except direct s-t edges, which count one
 path each. Element connectivity splits only non-terminal vertices and
 gives every edge unit (or, for LP separation, fractional) capacity, so
 minimum cuts are mixed (edge set F, non-terminal vertex set X) per Menger.
+LP separation builds its network once per LP (SeparationNetwork) and runs
+Dinic on exact ints: the fractional capacities scaled by the lcm of their
+denominators.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -34,23 +38,29 @@ def _edge_list(inst: Instance, edge_ids: Iterable[int] | None):
     return [(e, inst.edges[e]) for e in sorted(set(edge_ids))]
 
 
-def _check_query(s, t, terminals=None, capacities=()):
+def _check_query(s, t, terminals=None):
     if terminals is not None and (s not in terminals or t not in terminals):
         raise ValueError("s and t must be terminals")
     if s == t:
         raise ValueError("s == t")
-    if any(c < 0 or c > 1 for c in capacities):
-        raise ValueError("capacity outside [0,1]")
 
 
-def _split_cut(inst: Instance, unsplit, s: int, t: int, edge_caps,
-               one_way=frozenset()) -> ConnectivityQueryResult:
-    """Minimum s-t cut of the node-splitting network.
+@dataclass(frozen=True)
+class _SplitNetwork:
+    net: CapacitatedNetwork
+    node_in: list[int]
+    node_out: list[int]
+
+
+def _split_network(inst: Instance, unsplit, edge_caps, one_way=frozenset(),
+                   source: int | None = None) -> _SplitNetwork:
+    """The node-splitting network.
 
     Every vertex outside `unsplit` becomes an in/out pair joined by a unit
     arc; `edge_caps` lists (edge id, capacity) for the edges in the
     network, which get an arc each way after all vertex arcs. Edges in
-    `one_way` join s and t and get only the s->t arc.
+    `one_way` join `source` to the sink and get only the arc out of
+    `source`.
     """
     net = CapacitatedNetwork()
     node_in, node_out = [], []
@@ -64,15 +74,20 @@ def _split_cut(inst: Instance, unsplit, s: int, t: int, edge_caps,
     for eid, cap in edge_caps:
         u, v, _ = inst.edges[eid]
         tag = ("edge", eid)
-        if eid in one_way:
-            net.add_arc(node_out[s], node_in[t], cap, tag)
-        else:
-            net.add_arc(node_out[u], node_in[v], cap, tag)
+        if eid in one_way and v == source:
+            u, v = v, u
+        net.add_arc(node_out[u], node_in[v], cap, tag)
+        if eid not in one_way:
             net.add_arc(node_out[v], node_in[u], cap, tag)
-    value, cut = net.max_flow(node_out[s], node_in[t])
+    return _SplitNetwork(net, node_in, node_out)
+
+
+def _min_cut(split: _SplitNetwork, s: int, t: int) -> ConnectivityQueryResult:
+    """Minimum s-t cut of a node-splitting network, as graph objects."""
+    value, cut = split.net.max_flow(split.node_out[s], split.node_in[t])
     cut_refs = {"edge": set(), "vertex": set()}
     for aid in cut:
-        kind, ref = net.tags[aid]
+        kind, ref = split.net.tags[aid]
         cut_refs[kind].add(ref)
     return ConnectivityQueryResult(value, frozenset(cut_refs["edge"]),
                                    frozenset(cut_refs["vertex"]))
@@ -88,9 +103,10 @@ def vertex_connectivity_pair(
     big = len(edges) + inst.n + 1
     # each parallel direct edge contributes exactly one path
     direct = {eid for eid, (u, v, _) in edges if {u, v} == {s, t}}
-    return _split_cut(
-        inst, (s, t), s, t,
-        [(eid, 1 if eid in direct else big) for eid, _ in edges], direct)
+    return _min_cut(_split_network(
+        inst, (s, t),
+        [(eid, 1 if eid in direct else big) for eid, _ in edges],
+        direct, s), s, t)
 
 
 def element_connectivity_pair(
@@ -99,28 +115,72 @@ def element_connectivity_pair(
 ) -> ConnectivityQueryResult:
     """Max element-disjoint s-t paths (elements: edges + non-terminals)."""
     _check_query(s, t, terminals)
-    return _split_cut(inst, terminals, s, t,
-                      [(eid, 1) for eid, _ in _edge_list(inst, edge_ids)])
+    return _min_cut(_split_network(
+        inst, terminals,
+        [(eid, 1) for eid, _ in _edge_list(inst, edge_ids)]), s, t)
+
+
+class SeparationNetwork:
+    """The LP separation network of one element instance, built once.
+
+    Non-terminal vertices count 1, edges in `fixed_edges` count 1, every
+    other edge its LP capacity. Capacities are scaled by the lcm L of
+    their denominators, so Dinic runs on exact ints: a cut of scaled value
+    c is a cut of value c / L, and scaling keeps the minimum cut.
+    """
+
+    def __init__(self, inst: Instance, terminals: frozenset[int],
+                 fixed_edges: frozenset[int] = frozenset()):
+        self.fixed_edges = fixed_edges
+        # zero-capacity arcs stay in the network so cut witnesses can name
+        # saturated-at-zero edges
+        self._split = _split_network(
+            inst, terminals, [(eid, 1) for eid in range(inst.m)])
+        self._arc_edge = [ref if kind == "edge" else None
+                          for kind, ref in self._split.net.tags[0::2]]
+        self.capacities: Mapping[int, Fraction] | None = None
+        self._scale = 1
+
+    def load(self, capacities: Mapping[int, Fraction]) -> None:
+        """Take exact edge capacities in [0,1] (default 0)."""
+        ratios = {eid: c.as_integer_ratio() for eid, c in capacities.items()}
+        if any(not 0 <= num <= den for num, den in ratios.values()):
+            raise ValueError("capacity outside [0,1]")
+        ratios.update(dict.fromkeys(self.fixed_edges, (1, 1)))
+        scale = math.lcm(*(den for _, den in ratios.values()))
+        arcs = [(1, 1) if eid is None else ratios.get(eid, (0, 1))
+                for eid in self._arc_edge]
+        self._split.net.set_capacities(
+            [num * (scale // den) for num, den in arcs])
+        self.capacities, self._scale = capacities, scale
+
+    def min_cut(self, s: int, t: int) -> ConnectivityQueryResult:
+        res = _min_cut(self._split, s, t)
+        return ConnectivityQueryResult(
+            Fraction(res.value, self._scale), res.cut_edges, res.cut_vertices)
 
 
 def fractional_element_mincut(
     inst: Instance, terminals: frozenset[int], s: int, t: int,
     capacities: Mapping[int, Fraction],
     fixed_edges: frozenset[int] = frozenset(),
+    network: SeparationNetwork | None = None,
 ) -> ConnectivityQueryResult:
     """Minimum mixed cut value under fractional edge capacities in [0,1].
 
     Edges in fixed_edges count at capacity 1, others at capacities[eid]
     (default 0); non-terminal vertices count 1. Used as the separation
-    oracle for the set-pair LP relaxation.
+    oracle for the set-pair LP relaxation. A `network` built for the same
+    inst, terminals and fixed_edges is reused; it loads `capacities` only
+    when they are not the mapping it already holds, so the caller must not
+    change that mapping in place between queries.
     """
-    _check_query(s, t, terminals, capacities.values())
-    # zero-capacity arcs stay in the network so cut witnesses can name
-    # saturated-at-zero edges
-    return _split_cut(inst, terminals, s, t, [
-        (eid, Fraction(1) if eid in fixed_edges
-         else Fraction(capacities.get(eid, 0)))
-        for eid in range(inst.m)])
+    _check_query(s, t, terminals)
+    if network is None:
+        network = SeparationNetwork(inst, terminals, fixed_edges)
+    if network.capacities is not capacities:
+        network.load(capacities)
+    return network.min_cut(s, t)
 
 
 @dataclass(frozen=True)

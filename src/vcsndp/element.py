@@ -5,7 +5,9 @@ Two backends over the same instance type:
 * solve_iterative_rounding: cutting-plane LP over mixed (edge, non-terminal
   vertex) cuts with a max-flow separation oracle, then repeatedly buy the
   highest-valued edge. Emits a per-run certificate (LP lower bound, ratio,
-  deviation flag for any purchase below 1/2).
+  deviation flag for any purchase below 1/2). The LPs go to the HiGHS core
+  that scipy bundles, as scipy.optimize.linprog(method="highs") would
+  pass them; this is the one module that imports that private package.
 * solve_exact: branch and bound over edge subsets, feasibility judged by
   the flow-based element-connectivity verifier. Desk-scale oracle only;
   branch_and_bound also serves the exact VC-SNDP oracle.
@@ -18,13 +20,14 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .connectivity import (
+    SeparationNetwork,
     element_connectivity_pair,
     fractional_element_mincut,
 )
-from .errors import BudgetExceededError, InfeasibleError
+from .errors import BudgetExceededError, InfeasibleError, SolverError
 from .instance import EdgeSolution, Instance, Pair
 
 SEPARATION_TOL = 1e-9
@@ -90,6 +93,88 @@ def _short_pair(ei: ElementInstance, edge_ids: frozenset[int] | None = None):
 # LP relaxation by constraint generation
 # ---------------------------------------------------------------------------
 
+# scipy.optimize.linprog's status codes: 0 optimal, 1 iteration or time
+# limit, 2 infeasible, 3 unbounded, 4 anything else
+_LINPROG_STATUS = {
+    highs.HighsModelStatus.kOptimal: 0,
+    highs.HighsModelStatus.kTimeLimit: 1,
+    highs.HighsModelStatus.kIterationLimit: 1,
+    highs.HighsModelStatus.kInfeasible: 2,
+    highs.HighsModelStatus.kUnbounded: 3,
+}
+LP_OPTIMAL, LP_INFEASIBLE = 0, 2
+# the options scipy.optimize.linprog(method="highs") sets, output first so
+# that nothing is logged
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("presolve", "on"),
+    ("simplex_strategy",
+     int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+    ("highs_debug_level", int(highs.HighsDebugLevel.kHighsDebugLevelNone)),
+)
+
+
+@dataclass(frozen=True)
+class LpResult:
+    status: int                 # a scipy.optimize.linprog status code
+    x: np.ndarray | None        # set when status is LP_OPTIMAL
+    message: str
+
+
+def lp_solver():
+    """A HiGHS solver set up as scipy.optimize.linprog(method="highs") sets
+    it up; use it from one thread only."""
+    solver = highs._Highs()
+    for name, value in _HIGHS_OPTIONS:
+        if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:
+            raise SolverError(f"HiGHS rejected option {name}={value!r}")
+    return solver
+
+
+def linprog(costs: np.ndarray, rows: list[list[int]], rhs: list[float],
+            solver=None) -> LpResult:
+    """min costs.x  s.t.  sum(x[j] for j in rows[i]) >= rhs[i],  0 <= x <= 1.
+
+    Solved by the HiGHS core that scipy bundles, given the model and the
+    options that `scipy.optimize.linprog(costs, A_ub=-A, b_ub=-rhs,
+    bounds=(0, 1), method="highs")` gives it, so x is bit-identical to
+    linprog's; the wrapper's input cleaning, dense matrix and per-option
+    checks are skipped. `solver`, from lp_solver(), may be reused by the
+    thread that made it: passing a model clears what the last solve left.
+    """
+    ncol, nrow = len(costs), len(rows)
+    col_rows: list[list[int]] = [[] for _ in range(ncol)]
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].append(i)
+    start = [0]
+    for col in col_rows:
+        start.append(start[-1] + len(col))
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = ncol
+    lp.num_row_ = lp.a_matrix_.num_row_ = nrow
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.array(start, dtype=np.int32)
+    lp.a_matrix_.index_ = np.array(
+        [i for col in col_rows for i in col], dtype=np.int32)
+    lp.a_matrix_.value_ = np.full(start[-1], -1.0)
+    lp.col_cost_ = costs
+    lp.col_lower_ = np.zeros(ncol)
+    lp.col_upper_ = np.ones(ncol)
+    lp.row_lower_ = np.full(nrow, -highs.kHighsInf)
+    lp.row_upper_ = -np.array(rhs, dtype=float)
+    if solver is None:
+        solver = lp_solver()
+    solver.passModel(lp)
+    solver.run()
+    model_status = solver.getModelStatus()
+    status = _LINPROG_STATUS.get(model_status, 4)
+    x = (np.array(solver.getSolution().col_value)
+         if status == LP_OPTIMAL else None)
+    return LpResult(status, x, solver.modelStatusToString(model_status))
+
+
 @dataclass
 class LpState:
     values: dict[int, float]              # edge id -> LP value in [0,1]
@@ -104,27 +189,32 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
     the current point; add each violated cut Sum_{e in F free} x_e >=
     r - |X| - |F purchased| and re-solve until no cut is violated. A pair
     the full graph cannot serve ends in InfeasibleError: its cut either
-    has no free edge or makes the LP infeasible.
+    has no free edge or makes the LP infeasible. Any other LP failure
+    raises SolverError.
     """
     purchased = frozenset(purchased)
     free = [e for e in range(ei.inst.m) if e not in purchased]
     pos = {e: j for j, e in enumerate(free)}
     costs = np.array([float(ei.inst.edge_cost(e)) for e in free])
+    network = SeparationNetwork(ei.inst, ei.terminals, purchased)
+    solver = lp_solver()
 
     values = {e: 0.0 for e in free}
-    rows: list[np.ndarray] = []
+    rows: list[list[int]] = []
     rhs: list[float] = []
     seen_keys = set()
 
     while True:
-        caps = {e: Fraction(values[e]).limit_denominator(10**12)
-                for e in free}
+        exact = {x: Fraction(x).limit_denominator(10**12)
+                 for x in set(values.values())}
+        caps = {e: exact[values[e]] for e in free}
         new_rows = 0
         for pr in _sorted_pairs(ei):
             u, v = sorted(pr)
             r = ei.active_pairs[pr]
             res = fractional_element_mincut(
-                ei.inst, ei.terminals, u, v, caps, fixed_edges=purchased)
+                ei.inst, ei.terminals, u, v, caps, fixed_edges=purchased,
+                network=network)
             if float(res.value) >= r - SEPARATION_TOL:
                 continue
             f_free = frozenset(res.cut_edges) - purchased
@@ -138,20 +228,16 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
             if key in seen_keys:
                 continue  # LP already carries it; within-tolerance noise
             seen_keys.add(key)
-            row = np.zeros(len(free))
-            for e in f_free:
-                row[pos[e]] = 1.0
-            rows.append(row)
+            rows.append([pos[e] for e in f_free])
             rhs.append(float(bound))
             new_rows += 1
         if new_rows == 0:
             break
-        res = linprog(
-            costs,
-            A_ub=-np.array(rows), b_ub=-np.array(rhs),
-            bounds=[(0.0, 1.0)] * len(free), method="highs")
-        if not res.success:
+        res = linprog(costs, rows, rhs, solver)
+        if res.status == LP_INFEASIBLE:
             raise InfeasibleError(f"LP solve failed: {res.message}")
+        if res.status != LP_OPTIMAL:
+            raise SolverError(f"LP solve failed: {res.message}")
         values = {e: min(1.0, max(0.0, float(res.x[pos[e]]))) for e in free}
 
     objective = float(np.dot(costs, [values[e] for e in free])) if free else 0.0

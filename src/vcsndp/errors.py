@@ -21,6 +21,10 @@ class InfeasibleError(VcsndpError):
     """The instance (or subproblem) admits no feasible solution."""
 
 
+class SolverError(VcsndpError):
+    """The LP solver stopped without an optimum or a proof of infeasibility."""
+
+
 class BudgetExceededError(VcsndpError):
     """An exhaustive search exceeded its configured budget."""
 

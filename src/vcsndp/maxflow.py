@@ -3,6 +3,8 @@
 Dinic's algorithm over exact arithmetic (int or Fraction capacities), so
 connectivity values and LP separation never suffer float drift. Arcs may
 carry a (kind, ref) tag so min cuts can be mapped back to graph objects.
+A network can be queried many times: every max_flow call starts from the
+arc capacities, which set_capacities may replace between calls.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ class CapacitatedNetwork:
     def __init__(self):
         self._n = 0
         self.heads: list[int] = []
-        self.caps: list[Num] = []  # residual capacity, mutated by max_flow
+        self.caps: list[Num] = []  # residual capacity, reset by max_flow
         self.orig: list[Num] = []
         self.tags: list[tuple[str, Hashable] | None] = []
         self.adj: list[list[int]] = []
@@ -39,12 +41,20 @@ class CapacitatedNetwork:
             raise ValueError("self-arc")
         aid = len(self.heads)
         self.heads.extend((head, tail))
-        self.caps.extend((cap, 0))
         self.orig.extend((cap, 0))
         self.tags.extend((tag, None))
         self.adj[tail].append(aid)
         self.adj[head].append(aid + 1)
         return aid
+
+    def set_capacities(self, caps: list[Num]) -> None:
+        """Replace every arc's capacity, listed in the order the arcs were
+        added."""
+        if len(caps) != len(self.heads) // 2:
+            raise ValueError("one capacity per arc")
+        if any(c < 0 for c in caps):
+            raise ValueError("negative capacity")
+        self.orig[0::2] = caps
 
     def _bfs_levels(self, s: int, t: int) -> list[int] | None:
         level = [-1] * self._n
@@ -79,15 +89,21 @@ class CapacitatedNetwork:
         """Run Dinic from scratch; returns (value, min-cut arc ids).
 
         Cut arcs are forward arcs from the residual-reachable side of s to
-        the unreachable side, i.e. a certified minimum s-t cut.
+        the unreachable side, i.e. a certified minimum s-t cut. That side is
+        the same for every maximum flow, so the cut does not depend on the
+        order in which paths are found.
         """
         if s == t:
             raise ValueError("source equals sink")
+        self.caps = self.orig.copy()
+        # an int above every path's bottleneck, so integral networks
+        # compare ints only
+        unbounded = int(sum(self.orig)) + 1
         value: Num = 0
         while (level := self._bfs_levels(s, t)) is not None:
             it = [0] * self._n
             while True:
-                pushed = self._dfs_push(s, t, _INF, level, it)
+                pushed = self._dfs_push(s, t, unbounded, level, it)
                 if pushed <= 0:
                     break
                 value += pushed
@@ -109,6 +125,3 @@ class CapacitatedNetwork:
             if seen[tail] and not seen[head]:
                 cut.append(aid)
         return value, cut
-
-
-_INF = Fraction(1) * 10**18

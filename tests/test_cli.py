@@ -160,6 +160,43 @@ def test_family_from_checks_the_instance_pairs(tmp_path):
     assert "witness ((0, 2), frozenset(), " in out
 
 
+def test_family_from_takes_k_from_the_instance(tmp_path):
+    from test_golden import _wheel
+
+    path = tmp_path / "wheel.txt"
+    path.write_text(write_instance(_wheel()))  # largest requirement 3
+    argv = ["family", "--from", str(path), "--mode", "single-source",
+            "--seed", "11", "--dump"]
+    code, out, _ = invoke(argv)
+    assert code == 0
+    assert (code, out) == invoke(argv + ["--k", "3"])[:2]
+    code, _, err = invoke(argv + ["--k", "4"])
+    assert code == 2
+    assert "--k 4 differs from the instance's largest requirement 3" in err
+    code, _, err = invoke(["family", "--terminals", "4"])
+    assert code == 2
+    assert "--k" in err
+
+
+def test_solver_failure_exit_four(inst_file, tmp_path, monkeypatch):
+    from vcsndp import element
+
+    def stopped(*args, **kwargs):
+        return element.LpResult(1, None, "Iteration limit reached")
+
+    monkeypatch.setattr(element, "linprog", stopped)
+    code, _, err = invoke(["solve", str(inst_file), "--seed", "1"])
+    assert code == 4
+    assert "solver failure: LP solve failed: Iteration limit reached" in err
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "c4.txt").write_text(FEASIBLE)
+    code, out, _ = invoke(["bench", str(corpus), "--seed", "1", "--no-exact",
+                           "--no-timing"])
+    assert code == 0
+    assert "c4.txt: ERROR SolverError: LP solve failed: Iteration" in out
+
+
 def test_exact_command(inst_file):
     code, out, _ = invoke(["exact", str(inst_file)])
     assert code == 0

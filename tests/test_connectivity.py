@@ -1,9 +1,14 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import c4, random_graph, triangle
 from vcsndp.connectivity import (
+    SeparationNetwork,
+    _min_cut,
+    _split_network,
     brute_force_menger_element,
     brute_force_menger_vertex,
     element_connectivity_pair,
@@ -92,6 +97,32 @@ def test_fractional_rejects_bad_caps():
     with pytest.raises(ValueError):
         fractional_element_mincut(
             triangle(), frozenset({0, 1}), 0, 1, {0: Fraction(3, 2)})
+
+
+def test_reused_separation_network_matches_a_fraction_build():
+    # one integer-scaled network, reloaded and queried in two pair orders,
+    # against a fresh Fraction-capacity network per query
+    rng = random.Random(41)
+    for _ in range(25):
+        inst = random_graph(rng.randint(4, 8), 0.6, rng)
+        terminals = frozenset(
+            rng.sample(range(inst.n), rng.randint(2, min(5, inst.n))))
+        fixed = frozenset(e for e in range(inst.m) if rng.random() < 0.2)
+        pairs = list(itertools.combinations(sorted(terminals), 2))
+        network = SeparationNetwork(inst, terminals, fixed)
+        for _ in range(2):
+            caps = {}
+            for e in range(inst.m):
+                den = rng.choice((1, 2, 3, 7, 10**12 - 11))
+                caps[e] = Fraction(rng.randint(0, den), den)
+            want = {(s, t): _min_cut(_split_network(inst, terminals, [
+                (e, Fraction(1) if e in fixed else caps[e])
+                for e in range(inst.m)]), s, t) for s, t in pairs}
+            for order in (pairs, pairs[::-1]):
+                for s, t in order:
+                    got = fractional_element_mincut(
+                        inst, terminals, s, t, caps, fixed, network=network)
+                    assert got == want[s, t]
 
 
 def test_verify_vc_solution_c4():

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import random_graph, triangle
 from vcsndp.connectivity import (
@@ -11,6 +13,8 @@ from vcsndp.connectivity import (
 from vcsndp.element import (
     ElementInstance,
     induce_element_instance,
+    linprog,
+    lp_solver,
     solve_exact,
     solve_iterative_rounding,
     solve_lp,
@@ -119,6 +123,41 @@ def test_lp_infeasible_pair_raises():
         solve_lp(ei)
     with pytest.raises(InfeasibleError):
         solve_lp(ei, purchased={0})
+
+
+def test_linprog_matches_scipy_linprog():
+    # element.linprog drives scipy's private HiGHS core: it must keep the
+    # status and the exact x of scipy's public linprog on covering LPs
+    # shaped like the cutting-plane LPs, with a fresh or a reused solver
+    rng = random.Random(2008)
+    cases = [([1.0, 2.0], [[0]], [2.0])]  # x0 <= 1 cannot reach 2
+    for _ in range(240):
+        ncol = rng.randint(3, 30)
+        costs = [float(rng.randint(1, 9)) for _ in range(ncol)]
+        rows = [rng.sample(range(ncol), rng.randint(1, ncol))
+                for _ in range(rng.randint(1, 40))]
+        rhs = [float(rng.randint(1, min(3, len(row)))) for row in rows]
+        if rng.random() < 0.1:
+            rhs[0] = float(len(rows[0]) + 1)  # infeasible
+        cases.append((costs, rows, rhs))
+    solver = lp_solver()
+    statuses = set()
+    for costs, rows, rhs in cases:
+        dense = np.zeros((len(rows), len(costs)))
+        for i, row in enumerate(rows):
+            dense[i, row] = 1.0
+        ref = scipy.optimize.linprog(
+            costs, A_ub=-dense, b_ub=-np.array(rhs), bounds=(0, 1),
+            method="highs")
+        statuses.add(ref.status)
+        for got in (linprog(np.array(costs), rows, rhs),
+                    linprog(np.array(costs), rows, rhs, solver)):
+            assert got.status == ref.status
+            if ref.x is None:
+                assert got.x is None
+            else:
+                assert np.array_equal(got.x, ref.x)
+    assert statuses == {0, 2}
 
 
 def test_lp_separation_soundness():
