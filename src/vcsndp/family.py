@@ -7,6 +7,18 @@ has, for each blocking set X of fewer than k terminals, some subset
 containing it and disjoint from X. Parameters follow q = ceil(64 k^2 ln b)
 (general) or q = ceil(2 k ln b) (single-source) with p = 2kq, the natural-
 log reading that keeps the Chernoff failure bounds at b^(-2k).
+
+phi is the stored field; the goodness check and `common_indices`, which
+the pipeline groups subsets by, read it as Python-int bitmasks (bit i set
+iff i is in phi(t)) and run as word operations. The covering check prunes
+its search twice, both exactly. A blocker whose mask misses the subject's
+shared indices is never needed: dropping it from a cover leaves a smaller
+cover. And a blocking set of at most k-1 terminals covers the shared
+indices only if its overlaps with them add up to their count, so a subject
+whose k-1 largest overlaps fall short has no cover at all. Every least
+cover survives both prunes, so the first witness found (least subject,
+then least size, then the lexicographically least set) is the one a full
+enumeration would find.
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -94,6 +107,37 @@ class TerminalFamily:
                 out[i].add(t)
         return {i: frozenset(s) for i, s in out.items()}
 
+    @cached_property
+    def masks(self) -> dict[int, int]:
+        """phi as bitmasks: bit i of masks[t] is set iff i is in phi(t)."""
+        width = (self.params.p >> 3) + 1
+        out = {}
+        for t, idx in self.phi.items():
+            buf = bytearray(width)
+            for i in idx:
+                buf[i >> 3] |= 1 << (i & 7)
+            out[t] = int.from_bytes(buf, "little")
+        return out
+
+    def shared_mask(self, group: Iterable[int]) -> int:
+        """The AND of the masks of group: bit i is set iff T_i holds every
+        terminal in group."""
+        shared = (1 << (self.params.p + 1)) - 2
+        for t in group:
+            shared &= self.masks.get(t, 0)
+        return shared
+
+    def common_indices(self, group: Iterable[int]) -> list[int]:
+        """The indices i, ascending, whose subset T_i holds every terminal
+        in group."""
+        shared = self.shared_mask(group)
+        out = []
+        while shared:
+            low = shared & -shared
+            out.append(low.bit_length() - 1)
+            shared ^= low
+        return out
+
     def phi_of(self, group: Iterable[int]) -> frozenset[int]:
         """Union of phi over a set of terminals."""
         out: set[int] = set()
@@ -105,12 +149,24 @@ class TerminalFamily:
 def sample_family(terminals: Iterable[int], params: FamilyParams,
                   seed: int) -> TerminalFamily:
     """Each terminal draws q indices uniformly from {1..p} with replacement."""
-    rng = random.Random(seed)
-    phi = {}
-    for t in sorted(set(terminals)):
-        draws = [rng.randrange(1, params.p + 1) for _ in range(params.q)]
-        phi[t] = frozenset(draws)
+    getrandbits = random.Random(seed).getrandbits
+    phi = {t: _draw_indices(getrandbits, params.p, params.q)
+           for t in sorted(set(terminals))}
     return TerminalFamily(params=params, seed=seed, phi=phi)
+
+
+def _draw_indices(getrandbits, p: int, q: int) -> frozenset[int]:
+    """q draws from {1..p}, each the value rng.randrange(1, p + 1) would
+    give: CPython draws p.bit_length() bits and redraws while the value is
+    >= p (tests pin the two sequences together)."""
+    bits = p.bit_length()
+    out = set()
+    for _ in range(q):
+        r = getrandbits(bits)
+        while r >= p:
+            r = getrandbits(bits)
+        out.add(r + 1)
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -151,19 +207,36 @@ def _shared(family: TerminalFamily, members: tuple[int, ...]) -> frozenset[int]:
 
 def _covering_check(family: TerminalFamily, mode: str, subjects: list,
                     terms: list[int], k: int, budget: int) -> GoodnessReport:
-    """Exhaustive covering check: for every subject and every blocking set
-    X of at most k-1 other terminals, some shared index lies outside
-    phi(X)."""
+    """Covering check: for every subject and every blocking set X of at
+    most k-1 other terminals, some shared index lies outside phi(X).
+
+    Exact, with two prunes. Blockers are drawn only from the candidates,
+    the terminals whose mask meets the shared mask: a least cover holds no
+    other terminal. A subject is skipped when the k-1 largest overlaps of
+    candidates with its shared mask sum to less than its popcount, since
+    no k-1 blockers can then cover it. Least covers survive both prunes,
+    so the witness returned is still the first cover in subject order,
+    then size, then lexicographic order: the one the enumeration over all
+    blocking sets finds."""
     # _check_budget counts blocking sets among tau - 2 terminals
     _check_budget(len(subjects), len(terms) + 2 - _WIDTH[mode], k,
                   family.params.p, budget)
+    mask = family.masks.get
     for subject in subjects:
         members = _members(subject, mode)
-        shared = _shared(family, members)
-        others = [x for x in terms if x not in members]
+        shared = family.shared_mask(members)
+        need = shared.bit_count()
+        cands = [x for x in terms if x not in members and mask(x, 0) & shared]
+        best = sorted(((mask(x) & shared).bit_count() for x in cands),
+                      reverse=True)
+        if sum(best[:k - 1]) < need:
+            continue
         for size in range(k):
-            for xs in combinations(others, size):
-                if shared <= family.phi_of(xs):
+            for xs in combinations(cands, size):
+                covered = 0
+                for x in xs:
+                    covered |= mask(x)
+                if not shared & ~covered:
                     return GoodnessReport(False, (
                         subject, frozenset(xs), _NOTE[mode]))
     return GoodnessReport(True)

@@ -159,14 +159,15 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
     pairs = frozenset(inst.requirements)
     family, resamples = _sample_good_family(drawn, params, cfg, pairs)
 
-    subsets = family.subsets
-    # group subset indices by the requirement pairs inside T_i + pinned
+    # group subset indices by the requirement pairs inside T_i + pinned;
+    # a pinned endpoint lies in every subset
+    held: dict[int, list[frozenset]] = {}
+    for pr in pairs:
+        for i in family.common_indices(pr - pinned):
+            held.setdefault(i, []).append(pr)
     class_of: dict[frozenset, list[int]] = {}
-    for i in range(1, params.p + 1):
-        held = subsets[i] | pinned
-        key = frozenset(pr for pr in pairs if pr <= held)
-        if key:
-            class_of.setdefault(key, []).append(i)
+    for i in sorted(held):
+        class_of.setdefault(frozenset(held[i]), []).append(i)
 
     keys = sorted(class_of, key=lambda key: min(class_of[key]))
     # the class's endpoints, the pinned source among them, induce exactly

@@ -233,6 +233,34 @@ def test_bench_command(tmp_path):
     assert report.read_bytes() == first
 
 
+_COVERED = "'phi(s) & phi(t) is covered by phi(X)'"
+
+
+@pytest.mark.parametrize("args, code, expected", [
+    (["--terminals", "12", "--k", "3", "--seed", "5"], 0,
+     "mode general k 3 basis 12 p 8592 q 1432\ngood True\n"),
+    (["--terminals", "10", "--k", "3", "--seed", "5"], 0,
+     "mode general k 3 basis 10 p 7962 q 1327\ngood True\n"),
+    (["--terminals", "20", "--k", "2", "--seed", "5"], 0,
+     "mode general k 2 basis 20 p 3068 q 767\ngood True\n"),
+    (["--terminals", "5", "--k", "2", "--p", "6", "--q", "1",
+      "--unsafe-params"], 1,
+     "mode general k 2 basis 5 p 6 q 1\ngood False\n"
+     f"witness ((0, 2), frozenset(), {_COVERED})\n"),
+    (["--terminals", "6", "--k", "3", "--p", "8", "--q", "6", "--seed", "1",
+      "--unsafe-params"], 1,
+     "mode general k 3 basis 6 p 8 q 6\ngood False\n"
+     f"witness ((0, 1), frozenset({{2, 3}}), {_COVERED})\n"),
+    (["--terminals", "6", "--k", "2", "--p", "6", "--q", "4", "--mode",
+      "single-source", "--unsafe-params"], 1,
+     "mode single-source k 2 basis 6 p 6 q 4\ngood False\n"
+     "witness (1, frozenset({2}), 'phi(t) is covered by phi(X)')\n"),
+])
+def test_family_check_golden(args, code, expected):
+    # verdicts and witnesses recorded from the exhaustive frozenset check
+    assert invoke(["family", *args, "--check"]) == (code, expected, "")
+
+
 def test_family_check_over_budget_exit_three():
     code, _, err = invoke(["family", "--terminals", "40", "--k", "3",
                            "--check"])

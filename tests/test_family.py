@@ -150,6 +150,103 @@ def test_single_source_check_matches_subset_check():
     assert verdicts == {True, False}
 
 
+def reference_covering_check(family, mode, subjects, terms, k):
+    """The exhaustive frozenset loop over every blocking set: the oracle
+    for the pruned bitmask check."""
+    note = {fam.GENERAL: "phi(s) & phi(t) is covered by phi(X)",
+            fam.SINGLE_SOURCE: "phi(t) is covered by phi(X)"}[mode]
+    for subject in subjects:
+        members = subject if mode == fam.GENERAL else (subject,)
+        shared = frozenset.intersection(
+            *(family.phi.get(x, frozenset()) for x in members))
+        others = [x for x in terms if x not in members]
+        for size in range(k):
+            for xs in combinations(others, size):
+                if shared <= family.phi_of(xs):
+                    return fam.GoodnessReport(False, (
+                        subject, frozenset(xs), note))
+    return fam.GoodnessReport(True)
+
+
+def test_pruned_check_matches_reference_reports():
+    # whole reports, witness included, on small unsafe (p, q) in both
+    # modes; some terminals draw nothing or are missing from phi
+    rng = random.Random(2024)
+    seen = set()
+    for seed in range(2400):
+        mode = fam.MODES[seed % 2]
+        k = rng.randint(1, 4)
+        terms = list(range(rng.randint(1, 7)))
+        p, q = rng.randint(1, 9), rng.randint(1, 4)
+        params = fam.override_params(k, 4, mode, p, q, unsafe=True)
+        phi = dict(fam.sample_family(terms, params, seed).phi)
+        for t in terms:
+            roll = rng.random()
+            if roll < 0.1:
+                del phi[t]
+            elif roll < 0.2:
+                phi[t] = frozenset()
+        f = fam.TerminalFamily(params=params, seed=seed, phi=phi)
+        if mode == fam.GENERAL:
+            prs = all_pairs(terms)
+            prs = rng.sample(prs, rng.randint(0, len(prs)))
+            got = fam.is_good_family_general(f, prs, terms, k)
+            subjects = [tuple(sorted(pr)) for pr in sorted(prs, key=sorted)]
+        else:
+            got = fam.is_good_family_single_source(f, terms, k)
+            subjects = terms
+        assert got == reference_covering_check(f, mode, subjects, terms, k)
+        if got.good:
+            seen.add((mode, "good"))
+        else:
+            subject, xs, _ = got.witness
+            members = subject if mode == fam.GENERAL else (subject,)
+            shared = frozenset.intersection(
+                *(f.phi.get(x, frozenset()) for x in members))
+            seen.add((mode, "covered" if shared else "empty"))
+    assert seen == {(m, v) for m in fam.MODES
+                    for v in ("good", "covered", "empty")}
+
+
+def test_masks_mirror_phi():
+    params = fam.override_params(2, 4, fam.GENERAL, p=17, q=5, unsafe=True)
+    f = fam.sample_family(range(6), params, seed=7)
+    f = fam.TerminalFamily(params=params, seed=7,
+                           phi={**f.phi, 6: frozenset(), 7: frozenset({17})})
+    for t, idx in f.phi.items():
+        assert {i for i in range(params.p + 1)
+                if f.masks[t] >> i & 1} == idx
+    assert f.masks[6] == 0 and f.masks[7] == 1 << 17
+    subsets = f.subsets
+    for group in [(), (8,), *combinations(range(9), 1),
+                  *combinations(range(9), 2)]:
+        assert f.common_indices(group) == [
+            i for i in range(1, params.p + 1) if set(group) <= subsets[i]]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 8, 9, 1024, 1025, 8592])
+def test_index_draws_follow_randrange(p):
+    # sample_family draws with getrandbits the values rng.randrange(1, p+1)
+    # gives; an interpreter that changes randrange fails here
+    for seed in range(100):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(30):
+            assert (fam._draw_indices(ours.getrandbits, p, 1)
+                    == {theirs.randrange(1, p + 1)})
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_sample_family_matches_randrange_reference():
+    for k, tau, mode in ((3, 12, fam.GENERAL), (2, 6, fam.SINGLE_SOURCE)):
+        params = fam.default_params(k, tau, mode)
+        for seed in range(5):
+            rng = random.Random(seed)
+            phi = {t: frozenset(rng.randrange(1, params.p + 1)
+                                for _ in range(params.q))
+                   for t in range(tau)}
+            assert fam.sample_family(range(tau), params, seed).phi == phi
+
+
 def test_witnesses_replay(rng):
     terms = list(range(5))
     prs = all_pairs(terms)

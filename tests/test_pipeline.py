@@ -161,11 +161,28 @@ def test_cost_bound_2p_opt():
 def test_skipped_subsets_have_no_active_pairs():
     rng = random.Random(30)
     (inst,) = feasible_instances(1, rng)
-    res = solve_pipeline(inst, PipelineConfig(seed=11, verify_family=True))
-    subsets = res.family.subsets
-    for i, slot in res.subset_classes.items():
-        active = [pr for pr in inst.requirements if pr <= subsets[i]]
-        assert (slot == -1) == (not active)
+    wheel = generate_instance("wheel", 7, None, 2, 1, (1, 9), seed=0)
+    rooted = Instance(wheel.n, wheel.edges,
+                      {pair(0, v): 2 for v in (2, 4, 6)})
+    for inst, mode in ((inst, "general"), (rooted, "single-source")):
+        res = solve_pipeline(inst, PipelineConfig(mode=mode, seed=11,
+                                                  verify_family=True))
+        pinned = {res.source} - {None}
+        subsets = res.family.subsets
+        assert set(res.subset_classes) == set(subsets)
+        slots = set()
+        for i, slot in res.subset_classes.items():
+            active = {pr for pr in inst.requirements
+                      if pr <= subsets[i] | pinned}
+            assert (slot == -1) == (not active)
+            if slot != -1:
+                # the class's active pairs are exactly those inside
+                # T_i + pinned
+                rec = res.records[slot]
+                assert {pair(u, v) for u, v, _ in rec.active_pairs} == active
+                slots.add(slot)
+        assert slots == set(range(len(res.records)))
+        assert -1 in res.subset_classes.values()
 
 
 def test_benchmark_report():
