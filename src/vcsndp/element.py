@@ -7,7 +7,8 @@ Two backends over the same instance type:
   highest-valued edge. Emits a per-run certificate (LP lower bound, ratio,
   deviation flag for any purchase below 1/2). The LPs go to the HiGHS core
   that scipy bundles, as scipy.optimize.linprog(method="highs") would
-  pass them; this is the one module that imports that private package.
+  pass them; this is the one module that imports that private package,
+  on the first LP solve.
 * solve_exact: branch and bound over edge subsets, feasibility judged by
   the flow-based element-connectivity verifier. Desk-scale oracle only;
   branch_and_bound also serves the exact VC-SNDP oracle.
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
 
 from .connectivity import (
     SeparationNetwork,
@@ -93,26 +95,39 @@ def _short_pair(ei: ElementInstance, edge_ids: frozenset[int] | None = None):
 # LP relaxation by constraint generation
 # ---------------------------------------------------------------------------
 
-# scipy.optimize.linprog's status codes: 0 optimal, 1 iteration or time
-# limit, 2 infeasible, 3 unbounded, 4 anything else
-_LINPROG_STATUS = {
-    highs.HighsModelStatus.kOptimal: 0,
-    highs.HighsModelStatus.kTimeLimit: 1,
-    highs.HighsModelStatus.kIterationLimit: 1,
-    highs.HighsModelStatus.kInfeasible: 2,
-    highs.HighsModelStatus.kUnbounded: 3,
-}
 LP_OPTIMAL, LP_INFEASIBLE = 0, 2
-# the options scipy.optimize.linprog(method="highs") sets, output first so
-# that nothing is logged
-_HIGHS_OPTIONS = (
-    ("output_flag", False),
-    ("log_to_console", False),
-    ("presolve", "on"),
-    ("simplex_strategy",
-     int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
-    ("highs_debug_level", int(highs.HighsDebugLevel.kHighsDebugLevelNone)),
-)
+
+
+@cache
+def _highs() -> SimpleNamespace:
+    """The HiGHS core that scipy bundles (`core`), with linprog's status
+    codes (`status`) and options (`options`). Imported on first use:
+    loading scipy.optimize takes about 0.6 s and 50 MB, which the commands
+    that solve no LP should not pay."""
+    from scipy.optimize._highspy import _core as highs
+
+    return SimpleNamespace(
+        core=highs,
+        # scipy.optimize.linprog's status codes: 0 optimal, 1 iteration or
+        # time limit, 2 infeasible, 3 unbounded, 4 anything else
+        status={
+            highs.HighsModelStatus.kOptimal: 0,
+            highs.HighsModelStatus.kTimeLimit: 1,
+            highs.HighsModelStatus.kIterationLimit: 1,
+            highs.HighsModelStatus.kInfeasible: 2,
+            highs.HighsModelStatus.kUnbounded: 3,
+        },
+        # the options scipy.optimize.linprog(method="highs") sets, output
+        # first so that nothing is logged
+        options=(
+            ("output_flag", False),
+            ("log_to_console", False),
+            ("presolve", "on"),
+            ("simplex_strategy", int(
+                highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+            ("highs_debug_level",
+             int(highs.HighsDebugLevel.kHighsDebugLevelNone)),
+        ))
 
 
 @dataclass(frozen=True)
@@ -125,9 +140,10 @@ class LpResult:
 def lp_solver():
     """A HiGHS solver set up as scipy.optimize.linprog(method="highs") sets
     it up; use it from one thread only."""
-    solver = highs._Highs()
-    for name, value in _HIGHS_OPTIONS:
-        if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:
+    highs = _highs()
+    solver = highs.core._Highs()
+    for name, value in highs.options:
+        if solver.setOptionValue(name, value) != highs.core.HighsStatus.kOk:
             raise SolverError(f"HiGHS rejected option {name}={value!r}")
     return solver
 
@@ -151,10 +167,11 @@ def linprog(costs: np.ndarray, rows: list[list[int]], rhs: list[float],
     start = [0]
     for col in col_rows:
         start.append(start[-1] + len(col))
-    lp = highs.HighsLp()
+    highs = _highs()
+    lp = highs.core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = ncol
     lp.num_row_ = lp.a_matrix_.num_row_ = nrow
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = highs.core.MatrixFormat.kColwise
     lp.a_matrix_.start_ = np.array(start, dtype=np.int32)
     lp.a_matrix_.index_ = np.array(
         [i for col in col_rows for i in col], dtype=np.int32)
@@ -162,14 +179,14 @@ def linprog(costs: np.ndarray, rows: list[list[int]], rhs: list[float],
     lp.col_cost_ = costs
     lp.col_lower_ = np.zeros(ncol)
     lp.col_upper_ = np.ones(ncol)
-    lp.row_lower_ = np.full(nrow, -highs.kHighsInf)
+    lp.row_lower_ = np.full(nrow, -highs.core.kHighsInf)
     lp.row_upper_ = -np.array(rhs, dtype=float)
     if solver is None:
         solver = lp_solver()
     solver.passModel(lp)
     solver.run()
     model_status = solver.getModelStatus()
-    status = _LINPROG_STATUS.get(model_status, 4)
+    status = highs.status.get(model_status, 4)
     x = (np.array(solver.getSolution().col_value)
          if status == LP_OPTIMAL else None)
     return LpResult(status, x, solver.modelStatusToString(model_status))

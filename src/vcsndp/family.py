@@ -8,17 +8,27 @@ containing it and disjoint from X. Parameters follow q = ceil(64 k^2 ln b)
 (general) or q = ceil(2 k ln b) (single-source) with p = 2kq, the natural-
 log reading that keeps the Chernoff failure bounds at b^(-2k).
 
-phi is the stored field; the goodness check and `common_indices`, which
-the pipeline groups subsets by, read it as Python-int bitmasks (bit i set
-iff i is in phi(t)) and run as word operations. The covering check prunes
-its search twice, both exactly. A blocker whose mask misses the subject's
-shared indices is never needed: dropping it from a cover leaves a smaller
-cover. And a blocking set of at most k-1 terminals covers the shared
-indices only if its overlaps with them add up to their count, so a subject
-whose k-1 largest overlaps fall short has no cover at all. Every least
-cover survives both prunes, so the first witness found (least subject,
-then least size, then the lexicographically least set) is the one a full
-enumeration would find.
+A family is stored as one Python-int bitmask per terminal (bit i set iff
+the terminal drew index i); phi, the index sets, is built from the masks
+only for a dump or a test. Sampling takes its 32-bit words from the
+generator in bulk and packs the accepted values with numpy, giving the
+draws of a randrange loop exactly.
+
+The covering check finds, for every subject in one numpy pass over arrays
+of 64-bit words, its shared indices, their count and its overlap with
+each terminal, and prunes twice, both exactly. A blocker whose mask
+misses the subject's shared indices is never needed: dropping it from a
+cover leaves a smaller cover. And a blocking set of at most k-1 terminals
+covers the shared indices only if its overlaps with them add up to their
+count, so a subject whose k-1 largest overlaps fall short has no cover at
+all. Only the surviving subjects are searched, in subject order. Every
+least cover survives both prunes, so the first witness found (least
+subject, then least size, then the lexicographically least set) is the
+one a full enumeration would find.
+
+`is_good_family_general_subset_check` states the condition over the
+subsets T_i instead and shares no code with the covering check; tests
+and the benchmark cross-check the two.
 """
 
 from __future__ import annotations
@@ -27,8 +37,10 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable
+
+import numpy as np
 
 from .errors import BudgetExceededError
 from .instance import Pair
@@ -96,7 +108,19 @@ def resolve_params(k: int, basis: int, mode: str,
 class TerminalFamily:
     params: FamilyParams
     seed: int
-    phi: dict[int, frozenset[int]]  # terminal -> drawn indices (deduplicated)
+    masks: dict[int, int]  # terminal -> bit i set iff it drew index i
+
+    @classmethod
+    def from_phi(cls, params: FamilyParams, seed: int,
+                 phi: dict[int, Iterable[int]]) -> TerminalFamily:
+        """The family in which terminal t drew the indices phi[t]."""
+        return cls(params=params, seed=seed,
+                   masks={t: _mask_of(idx) for t, idx in phi.items()})
+
+    @cached_property
+    def phi(self) -> dict[int, frozenset[int]]:
+        """terminal -> drawn indices (deduplicated)."""
+        return {t: frozenset(_bits(m)) for t, m in self.masks.items()}
 
     @property
     def subsets(self) -> dict[int, frozenset[int]]:
@@ -107,18 +131,6 @@ class TerminalFamily:
                 out[i].add(t)
         return {i: frozenset(s) for i, s in out.items()}
 
-    @cached_property
-    def masks(self) -> dict[int, int]:
-        """phi as bitmasks: bit i of masks[t] is set iff i is in phi(t)."""
-        width = (self.params.p >> 3) + 1
-        out = {}
-        for t, idx in self.phi.items():
-            buf = bytearray(width)
-            for i in idx:
-                buf[i >> 3] |= 1 << (i & 7)
-            out[t] = int.from_bytes(buf, "little")
-        return out
-
     def shared_mask(self, group: Iterable[int]) -> int:
         """The AND of the masks of group: bit i is set iff T_i holds every
         terminal in group."""
@@ -127,32 +139,101 @@ class TerminalFamily:
             shared &= self.masks.get(t, 0)
         return shared
 
+    def union_mask(self, group: Iterable[int]) -> int:
+        """The OR of the masks of group: the mask of phi_of(group)."""
+        union = 0
+        for t in group:
+            union |= self.masks.get(t, 0)
+        return union
+
     def common_indices(self, group: Iterable[int]) -> list[int]:
         """The indices i, ascending, whose subset T_i holds every terminal
         in group."""
-        shared = self.shared_mask(group)
-        out = []
-        while shared:
-            low = shared & -shared
-            out.append(low.bit_length() - 1)
-            shared ^= low
-        return out
+        return _bits(self.shared_mask(group))
 
     def phi_of(self, group: Iterable[int]) -> frozenset[int]:
         """Union of phi over a set of terminals."""
-        out: set[int] = set()
-        for t in group:
-            out |= self.phi.get(t, frozenset())
-        return frozenset(out)
+        return frozenset(_bits(self.union_mask(group)))
+
+    def words(self, group: Iterable[int]) -> np.ndarray:
+        """The masks of group, one row of 64-bit words per terminal (a
+        terminal without a mask gets a row of zeros); viewed as bytes, a
+        row is its mask in little-endian order."""
+        group = list(group)
+        width = (self.params.p >> 6) + 1
+        buf = b"".join(self.masks.get(t, 0).to_bytes(8 * width, "little")
+                       for t in group)
+        return np.frombuffer(buf, dtype=np.uint64).reshape(len(group), width)
+
+
+def _mask_of(indices: Iterable[int]) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+# CPython's Mersenne Twister makes 32-bit words: getrandbits(b) for b <= 32
+# is the top b bits of the next word, and getrandbits(32 * n) is the next n
+# words, the first in the lowest bits
+_WORD_BITS = 32
 
 
 def sample_family(terminals: Iterable[int], params: FamilyParams,
                   seed: int) -> TerminalFamily:
-    """Each terminal draws q indices uniformly from {1..p} with replacement."""
-    getrandbits = random.Random(seed).getrandbits
-    phi = {t: _draw_indices(getrandbits, params.p, params.q)
-           for t in sorted(set(terminals))}
-    return TerminalFamily(params=params, seed=seed, phi=phi)
+    """Each terminal, in increasing order, draws q indices uniformly from
+    {1..p} with replacement: the values that q calls of
+    random.Random(seed).randrange(1, p + 1) would give."""
+    terms = sorted(set(terminals))
+    rng = random.Random(seed)
+    p, q = params.p, params.q
+    draw = _scalar_masks if p.bit_length() > _WORD_BITS else _bulk_masks
+    return TerminalFamily(params=params, seed=seed,
+                          masks=draw(rng, terms, p, q))
+
+
+def _scalar_masks(rng: random.Random, terms: list[int], p: int,
+                  q: int) -> dict[int, int]:
+    """q draws of `_draw_indices` per terminal, in order."""
+    return {t: _mask_of(_draw_indices(rng.getrandbits, p, q)) for t in terms}
+
+
+def _bulk_masks(rng: random.Random, terms: list[int], p: int,
+                q: int) -> dict[int, int]:
+    """The draws of `_draw_indices`, q per terminal, from whole batches of
+    words: keeping the top p.bit_length() bits of each word and dropping
+    the values >= p leaves the values it accepts, in its order. Words drawn
+    past the last value needed are never seen; the generator is private."""
+    if not terms:
+        return {}
+    need = len(terms) * q
+    bits = p.bit_length()
+    batches, got = [], 0
+    while got < need:
+        # each word is accepted with probability p / 2**bits > 1/2
+        count = ((need - got) << bits) // p + (need - got) // 32 + 64
+        words = np.frombuffer(
+            rng.getrandbits(_WORD_BITS * count).to_bytes(4 * count, "little"),
+            dtype="<u4") >> (_WORD_BITS - bits)
+        batches.append(words[words < p])
+        got += len(batches[-1])
+    values = np.concatenate(batches)[:need]
+    width = (p >> 3) + 1
+    drawn = np.zeros((len(terms), 8 * width), dtype=bool)
+    drawn[np.repeat(np.arange(len(terms)), q), values + 1] = True
+    rows = np.packbits(drawn, axis=1, bitorder="little")
+    return {t: int.from_bytes(row.tobytes(), "little")
+            for t, row in zip(terms, rows)}
 
 
 def _draw_indices(getrandbits, p: int, q: int) -> frozenset[int]:
@@ -194,15 +275,12 @@ def _check_budget(n_subjects: int, tau: int, k: int, p: int, budget: int):
 _WIDTH = {GENERAL: 2, SINGLE_SOURCE: 1}
 _NOTE = {GENERAL: "phi(s) & phi(t) is covered by phi(X)",
          SINGLE_SOURCE: "phi(t) is covered by phi(X)"}
+# 64-bit words per numpy temporary: 8 MiB
+_CHUNK_WORDS = 1 << 20
 
 
 def _members(subject, mode: str) -> tuple[int, ...]:
     return subject if mode == GENERAL else (subject,)
-
-
-def _shared(family: TerminalFamily, members: tuple[int, ...]) -> frozenset[int]:
-    return frozenset.intersection(
-        *(family.phi.get(x, frozenset()) for x in members))
 
 
 def _covering_check(family: TerminalFamily, mode: str, subjects: list,
@@ -210,35 +288,47 @@ def _covering_check(family: TerminalFamily, mode: str, subjects: list,
     """Covering check: for every subject and every blocking set X of at
     most k-1 other terminals, some shared index lies outside phi(X).
 
-    Exact, with two prunes. Blockers are drawn only from the candidates,
-    the terminals whose mask meets the shared mask: a least cover holds no
+    Exact, with two prunes, both computed for all subjects at once on
+    word arrays. Blockers are drawn only from the candidates, the
+    terminals whose mask meets the shared mask: a least cover holds no
     other terminal. A subject is skipped when the k-1 largest overlaps of
     candidates with its shared mask sum to less than its popcount, since
-    no k-1 blockers can then cover it. Least covers survive both prunes,
-    so the witness returned is still the first cover in subject order,
-    then size, then lexicographic order: the one the enumeration over all
-    blocking sets finds."""
+    no k-1 blockers can then cover it. The other subjects are searched in
+    order, and least covers survive both prunes, so the witness returned
+    is still the first cover in subject order, then size, then
+    lexicographic order: the one the enumeration over all blocking sets
+    finds."""
     # _check_budget counts blocking sets among tau - 2 terminals
     _check_budget(len(subjects), len(terms) + 2 - _WIDTH[mode], k,
                   family.params.p, budget)
-    mask = family.masks.get
-    for subject in subjects:
-        members = _members(subject, mode)
-        shared = family.shared_mask(members)
-        need = shared.bit_count()
-        cands = [x for x in terms if x not in members and mask(x, 0) & shared]
-        best = sorted(((mask(x) & shared).bit_count() for x in cands),
-                      reverse=True)
-        if sum(best[:k - 1]) < need:
-            continue
+    if not subjects:
+        return GoodnessReport(True)
+    members = [_members(subject, mode) for subject in subjects]
+    # rows: the blockers, then any member that is not one
+    rows = {x: i for i, x in enumerate(terms)}
+    for x in sorted({x for group in members for x in group} - rows.keys()):
+        rows[x] = len(rows)
+    grid = family.words(rows)
+    member_rows = np.array([[rows[x] for x in group] for group in members])
+    shared = np.bitwise_and.reduce(grid[member_rows], axis=1)
+    need = np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
+    overlap = np.empty((len(subjects), len(rows)), dtype=np.int64)
+    step = max(1, _CHUNK_WORDS // grid.size)
+    for lo in range(0, len(subjects), step):
+        overlap[lo:lo + step] = np.bitwise_count(
+            shared[lo:lo + step, None, :] & grid).sum(axis=2)
+    # a subject's own members never block it
+    overlap[np.arange(len(subjects))[:, None], member_rows] = 0
+    overlap = overlap[:, :len(terms)]
+    top = -np.sort(-overlap, axis=1)[:, :k - 1].sum(axis=1, dtype=np.int64)
+    for s in np.flatnonzero(top >= need):
+        shared_s = family.shared_mask(members[s])
+        cands = [terms[j] for j in np.flatnonzero(overlap[s])]
         for size in range(k):
             for xs in combinations(cands, size):
-                covered = 0
-                for x in xs:
-                    covered |= mask(x)
-                if not shared & ~covered:
+                if not shared_s & ~family.union_mask(xs):
                     return GoodnessReport(False, (
-                        subject, frozenset(xs), _NOTE[mode]))
+                        subjects[s], frozenset(xs), _NOTE[mode]))
     return GoodnessReport(True)
 
 
@@ -250,7 +340,7 @@ def is_good_family_general(
     """Exhaustive check of the covering condition for every pair and every
     blocking set X of at most k-1 terminals: some index must lie in
     phi(s) & phi(t) but outside phi(X)."""
-    subjects = [tuple(sorted(pr)) for pr in sorted(pairs, key=sorted)]
+    subjects = sorted(tuple(sorted(pr)) for pr in pairs)
     return _covering_check(family, GENERAL, subjects, sorted(set(terminals)),
                            k, budget)
 
@@ -275,30 +365,86 @@ def is_good_family(family: TerminalFamily, terminals: Iterable[int],
     return is_good_family_single_source(family, terminals, params.k)
 
 
+# blocking sets per numpy batch in the subset-form check
+_SUBSET_CHECK_BATCH = 4096
+
+
 def is_good_family_general_subset_check(
     family: TerminalFamily, pairs: Iterable[Pair],
     terminals: Iterable[int], k: int,
 ) -> GoodnessReport:
-    """Same condition phrased over the derived subsets T_i; used to
-    cross-check the index-set criterion in tests."""
-    subsets = family.subsets
+    """The same condition phrased over the subsets T_i: a pair (s, t) is
+    served against a blocking set X when some T_i holds s and t and
+    misses X. It shares no code with the covering check, so it serves as
+    an independent cross-check.
+
+    It runs over the distinct T_i only, told apart by their terminal
+    bitmasks, which take one 64-bit word per 64 terminals. Each terminal
+    then gets the set of distinct T_i that hold it, as a bitmask, and one
+    pass of word operations per batch of blocking sets finds, for every
+    pair at once, whether some T_i holds the pair and misses the set; the
+    witness is the first pair, then the first set, for which none does."""
     terms = sorted(set(terminals))
-    for pr in sorted(pairs, key=sorted):
-        s, t = sorted(pr)
-        others = [x for x in terms if x not in pr]
-        for size in range(k):
-            for xs in combinations(others, size):
-                if not any(s in ti and t in ti and not (ti & set(xs))
-                           for ti in subsets.values()):
-                    return GoodnessReport(False, (
-                        (s, t), frozenset(xs), "no subset covers the pair"))
-    return GoodnessReport(True)
+    subjects = sorted(tuple(sorted(pr)) for pr in pairs)
+    if not subjects:
+        return GoodnessReport(True)
+    columns = sorted(set(terms).union(*subjects))
+    col = {x: j for j, x in enumerate(columns)}
+    p = family.params.p
+    # flags[j, i - 1]: T_i holds terminal columns[j]
+    flags = np.unpackbits(family.words(columns).view(np.uint8), axis=1,
+                          bitorder="little")[:, 1:p + 1]
+    # keys[i - 1, w]: bit b of word w is set iff T_i holds columns[64w + b]
+    keys = np.zeros((p, -(-len(columns) // 64)), dtype=np.uint64)
+    for w in range(keys.shape[1]):
+        part = flags[64 * w:64 * w + 64].astype(np.uint64)
+        keys[:, w] = (part << np.arange(len(part), dtype=np.uint64)[:, None]
+                      ).sum(axis=0)
+    if keys.shape[1] == 1:
+        ordered = np.sort(keys[:, 0])
+        keys = ordered[np.r_[True, ordered[1:] != ordered[:-1]], None]
+    else:
+        keys = np.unique(keys, axis=0)
+    # holders[j]: bit d is set iff the d-th distinct T_i holds columns[j]
+    j = np.arange(len(columns))
+    held = (keys[:, j // 64] >> (j % 64).astype(np.uint64)) & np.uint64(1)
+    holders = np.zeros((len(columns), 8 * -(-len(keys) // 64)), dtype=np.uint8)
+    holders[:, :-(-len(keys) // 8)] = np.packbits(held.T.astype(bool), axis=1)
+    holders = holders.view(np.uint64)
+    s_col = np.array([col[s] for s, _ in subjects])
+    t_col = np.array([col[t] for _, t in subjects])
+    both = holders[s_col] & holders[t_col]
+    blockers = [col[x] for x in terms]
+    first = np.full(len(subjects), -1)    # first unserved blocking set
+    seen = 0
+    for size in range(k):
+        sets = combinations(blockers, size)
+        while chunk := list(islice(sets, _SUBSET_CHECK_BATCH)):
+            xs = np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
+            hit = np.bitwise_or.reduce(holders[xs], axis=1)   # T_i meets X
+            served = (both[:, None, :] & ~hit[None, :, :]).any(axis=2)
+            # X may not hold an end of the pair
+            own = ((xs[None, :, :] == s_col[:, None, None])
+                   | (xs[None, :, :] == t_col[:, None, None])).any(axis=2)
+            unserved = ~served & ~own
+            new = (first < 0) & unserved.any(axis=1)
+            first[new] = seen + unserved[new].argmax(axis=1)
+            seen += len(chunk)
+    failed = np.flatnonzero(first >= 0)
+    if not len(failed):
+        return GoodnessReport(True)
+    pos = failed[0]
+    xs = next(islice((xs for size in range(k)
+                      for xs in combinations(terms, size)), first[pos], None))
+    return GoodnessReport(False, (
+        subjects[pos], frozenset(xs), "no subset covers the pair"))
 
 
 def replay_witness(family: TerminalFamily, witness, mode: str) -> bool:
     """True iff the witness really breaks the covering condition."""
     subject, xs, _ = witness
-    return _shared(family, _members(subject, mode)) <= family.phi_of(xs)
+    return not (family.shared_mask(_members(subject, mode))
+                & ~family.union_mask(xs))
 
 
 def estimate_bad_events(
@@ -326,11 +472,10 @@ def estimate_bad_events(
         # one draw of width w consumes the RNG as rng.choice does for w = 1
         members = tuple(rng.sample(terms, width))
         rest = [x for x in terms if x not in members]
-        xs = rng.sample(rest, params.k - 1)
-        phix = fam.phi_of(xs)
-        if len(fam.phi[members[0]] & phix) >= threshold:
+        blocked = fam.union_mask(rng.sample(rest, params.k - 1))
+        if (fam.masks[members[0]] & blocked).bit_count() >= threshold:
             hits1 += 1
-        if _shared(fam, members) <= phix:
+        if not fam.shared_mask(members) & ~blocked:
             hits2 += 1
     return hits1 / trials, hits2 / trials
 

@@ -69,21 +69,40 @@ class CapacitatedNetwork:
                     dq.append(v)
         return level if level[t] >= 0 else None
 
-    def _dfs_push(self, u: int, t: int, limit: Num, level, it) -> Num:
-        if u == t:
-            return limit
-        while it[u] < len(self.adj[u]):
-            aid = self.adj[u][it[u]]
-            v = self.heads[aid]
-            if self.caps[aid] > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs_push(
-                    v, t, min(limit, self.caps[aid]), level, it)
-                if pushed > 0:
-                    self.caps[aid] -= pushed
-                    self.caps[aid ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+    def _dfs_push(self, s: int, t: int, limit: Num, level, it) -> Num:
+        """Push along one s-t path of the level graph; returns the amount
+        pushed, 0 when the level graph has no path left.
+
+        A depth-first search with an explicit stack of path arcs, so the
+        depth of the level graph is not bounded by the interpreter's
+        recursion limit. `it[u]` is the next arc of u to try: it moves past
+        an arc only when the arc is not in the level graph or leads to a
+        dead end, the order a recursive search takes."""
+        adj, heads, caps = self.adj, self.heads, self.caps
+        path: list[int] = []
+        u = s
+        while u != t:
+            arcs, i = adj[u], it[u]
+            while i < len(arcs):
+                aid = arcs[i]
+                if caps[aid] > 0 and level[heads[aid]] == level[u] + 1:
+                    break
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(aid)
+                u = heads[aid]
+            elif path:
+                # u is a dead end: retreat and skip the arc that led here
+                u = heads[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                return 0
+        pushed = min(limit, *(caps[aid] for aid in path))
+        for aid in path:
+            caps[aid] -= pushed
+            caps[aid ^ 1] += pushed
+        return pushed
 
     def max_flow(self, s: int, t: int) -> tuple[Num, list[int]]:
         """Run Dinic from scratch; returns (value, min-cut arc ids).

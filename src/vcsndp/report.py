@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .element import DEFAULT_NODE_BUDGET
-from .errors import BudgetExceededError, VcsndpError
+from .errors import BudgetExceededError
 from .instance import Instance, derive_terminals, format_cost
 from .pipeline import PipelineConfig, PipelineResult, solve_exact_vcsndp, solve_pipeline
 
@@ -109,7 +109,10 @@ def benchmark(instances: Iterable[tuple[str, Instance]], cfg: PipelineConfig,
         start = time.monotonic()
         try:
             result = solve_pipeline(inst, run_cfg)
-        except VcsndpError as exc:
+        except (ValueError, OSError):
+            raise  # a usage error, the same for every instance
+        except Exception as exc:
+            # a toolkit error, or an internal one (`solve` exits 5 on it)
             row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
             continue

@@ -197,6 +197,37 @@ def test_solver_failure_exit_four(inst_file, tmp_path, monkeypatch):
     assert "c4.txt: ERROR SolverError: LP solve failed: Iteration" in out
 
 
+def test_internal_error_exit_five(inst_file, tmp_path, monkeypatch):
+    from vcsndp import cli, report
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("stub fault")
+
+    monkeypatch.setattr(cli, "solve_pipeline", broken)
+    monkeypatch.setattr(report, "solve_pipeline", broken)
+    assert invoke(["solve", str(inst_file)]) == (
+        5, "", "internal error: RuntimeError: stub fault\n")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "c4.txt").write_text(FEASIBLE)
+    code, out, _ = invoke(["bench", str(corpus), "--no-exact", "--no-timing"])
+    assert code == 0
+    assert "c4.txt: ERROR RuntimeError: stub fault" in out
+
+
+def test_solve_verify_long_path(tmp_path):
+    # every max-flow in the run sees a level graph about 2000 vertices deep
+    n = 2000
+    path = tmp_path / "path.txt"
+    path.write_text(
+        f"graph {n} {n - 1}\n"
+        + "".join(f"edge {v} {v + 1} 1\n" for v in range(n - 1))
+        + "req 999 1000 1\n")
+    code, out, err = invoke(["solve", str(path), "--verify", "--jobs", "1"])
+    assert (code, err) == (0, "")
+    assert "cost 1 edges 1\n" in out and out.endswith("FEASIBLE\n")
+
+
 def test_exact_command(inst_file):
     code, out, _ = invoke(["exact", str(inst_file)])
     assert code == 0

@@ -216,3 +216,16 @@ def test_cut_certified_by_deletion(rng):
                     seen.add(v)
                     stack.append(v)
         assert t not in seen
+
+
+def path_graph(n):
+    return Instance(n, tuple((v, v + 1, Fraction(1)) for v in range(n - 1)))
+
+
+def test_long_path_connectivity():
+    # a level graph as deep as the path: max-flow must not recurse per level
+    path = path_graph(2000)
+    assert vertex_connectivity_pair(path, 0, 1999).value == 1
+    assert vertex_connectivity_pair(path, 999, 1000).value == 1
+    for terminals in (frozenset({0, 1999}), frozenset({0, 1000, 1999})):
+        assert element_connectivity_pair(path, terminals, 0, 1999).value == 1

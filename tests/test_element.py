@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,18 @@ def test_linprog_matches_scipy_linprog():
             else:
                 assert np.array_equal(got.x, ref.x)
     assert statuses == {0, 2}
+
+
+def test_scipy_optimize_loads_on_first_lp():
+    # importing the toolkit leaves scipy.optimize (0.5-0.7 s, ~50 MB) out
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, vcsndp, vcsndp.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_lp_separation_soundness():

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,8 +83,8 @@ def test_k1_single_full_subset_is_good():
 
 def test_empty_subset_not_good():
     params = fam.override_params(1, 2, fam.GENERAL, p=1, q=1, unsafe=True)
-    f = fam.TerminalFamily(params=params, seed=0,
-                           phi={0: frozenset(), 1: frozenset()})
+    f = fam.TerminalFamily.from_phi(params=params, seed=0,
+                                    phi={0: frozenset(), 1: frozenset()})
     report = fam.is_good_family_general(f, [pair(0, 1)], [0, 1], 1)
     assert not report.good
     assert report.witness[0] == (0, 1)
@@ -97,7 +97,8 @@ def test_single_source_goodness_and_witness():
                                  unsafe=True)
     good = fam.sample_family(range(3), params, seed=0)
     assert fam.is_good_family_single_source(good, range(3), 1).good
-    bad = fam.TerminalFamily(params=params, seed=0, phi={0: frozenset()})
+    bad = fam.TerminalFamily.from_phi(params=params, seed=0,
+                                      phi={0: frozenset()})
     report = fam.is_good_family_single_source(bad, [0], 1)
     assert not report.good
     assert fam.replay_witness(bad, report.witness, fam.SINGLE_SOURCE)
@@ -140,8 +141,8 @@ def test_single_source_check_matches_subset_check():
         full = frozenset(range(1, params.p + 1))
         for seed in range(30):
             f = fam.sample_family(sinks, params, seed)
-            pinned = fam.TerminalFamily(params=params, seed=seed,
-                                        phi={**f.phi, 0: full})
+            pinned = fam.TerminalFamily.from_phi(params=params, seed=seed,
+                                                 phi={**f.phi, 0: full})
             a = fam.is_good_family_single_source(f, sinks, k)
             b = fam.is_good_family_general_subset_check(
                 pinned, [pair(0, t) for t in sinks], [0, *sinks], k)
@@ -168,11 +169,11 @@ def reference_covering_check(family, mode, subjects, terms, k):
     return fam.GoodnessReport(True)
 
 
-def test_pruned_check_matches_reference_reports():
-    # whole reports, witness included, on small unsafe (p, q) in both
-    # modes; some terminals draw nothing or are missing from phi
+def seeded_families():
+    """2400 small families on unsafe (p, q), alternating the two modes:
+    (family, mode, k, terms, general-mode pairs). Some terminals draw
+    nothing or are missing from phi."""
     rng = random.Random(2024)
-    seen = set()
     for seed in range(2400):
         mode = fam.MODES[seed % 2]
         k = rng.randint(1, 4)
@@ -186,10 +187,19 @@ def test_pruned_check_matches_reference_reports():
                 del phi[t]
             elif roll < 0.2:
                 phi[t] = frozenset()
-        f = fam.TerminalFamily(params=params, seed=seed, phi=phi)
+        f = fam.TerminalFamily.from_phi(params=params, seed=seed, phi=phi)
+        prs = []
         if mode == fam.GENERAL:
             prs = all_pairs(terms)
             prs = rng.sample(prs, rng.randint(0, len(prs)))
+        yield f, mode, k, terms, prs
+
+
+def test_pruned_check_matches_reference_reports():
+    # whole reports, witness included, on small unsafe (p, q) in both modes
+    seen = set()
+    for f, mode, k, terms, prs in seeded_families():
+        if mode == fam.GENERAL:
             got = fam.is_good_family_general(f, prs, terms, k)
             subjects = [tuple(sorted(pr)) for pr in sorted(prs, key=sorted)]
         else:
@@ -208,11 +218,76 @@ def test_pruned_check_matches_reference_reports():
                     for v in ("good", "covered", "empty")}
 
 
+def reference_subset_check(family, pairs, terminals, k):
+    """The literal loop over every pair, blocking set and subset T_i: the
+    oracle for the subset-form check."""
+    subsets = family.subsets
+    terms = sorted(set(terminals))
+    for pr in sorted(pairs, key=sorted):
+        s, t = sorted(pr)
+        others = [x for x in terms if x not in pr]
+        for size in range(k):
+            for xs in combinations(others, size):
+                if not any(s in ti and t in ti and not (ti & set(xs))
+                           for ti in subsets.values()):
+                    return fam.GoodnessReport(False, (
+                        (s, t), frozenset(xs), "no subset covers the pair"))
+    return fam.GoodnessReport(True)
+
+
+def subset_check_cases():
+    """(family, pairs, terminals, k) for the subset-form differential
+    test, besides the seeded families."""
+    # the nine `family --check` items of the family-check benchmark at
+    # seed 1: (tau, k) cycles through (12, 3), (10, 3), (20, 2)
+    rng = random.Random("family-check:1")
+    for i in range(9):
+        tau, k = ((12, 3), (10, 3), (20, 2))[i % 3]
+        terms = list(range(tau))
+        f = fam.sample_family(terms, fam.default_params(k, tau),
+                              rng.randrange(1 << 31))
+        yield f, all_pairs(terms), terms, k
+    # bad families at (12, 3) with unsafe (p, q); their witnesses block
+    # with 0, 1 and 2 terminals
+    terms = list(range(12))
+    for p, q, seed in ((60, 10, 5), (300, 40, 1), (150, 20, 1), (500, 60, 0)):
+        params = fam.override_params(3, 12, fam.GENERAL, p, q, unsafe=True)
+        yield (fam.sample_family(terms, params, seed), all_pairs(terms),
+               terms, 3)
+    # more than 64 terminals: `family --terminals 70 --k 1`, and a bad
+    # family whose pairs reach past the first 64-bit word
+    terms = list(range(70))
+    yield (fam.sample_family(terms, fam.default_params(1, 70), 0),
+           all_pairs(terms), terms, 1)
+    params = fam.override_params(2, 70, fam.GENERAL, 1200, 80, unsafe=True)
+    yield (fam.sample_family(terms, params, 2),
+           [pr for pr in all_pairs(terms) if max(pr) >= 64], terms, 2)
+
+
+def test_subset_check_matches_literal_reference():
+    verdicts = set()
+    for f, mode, k, terms, prs in seeded_families():
+        # the condition is read in general mode; single-source families
+        # are checked over all their pairs
+        prs = prs if mode == fam.GENERAL else all_pairs(terms)
+        assert (fam.is_good_family_general_subset_check(f, prs, terms, k)
+                == reference_subset_check(f, prs, terms, k))
+    for f, prs, terms, k in subset_check_cases():
+        got = fam.is_good_family_general_subset_check(f, prs, terms, k)
+        assert got == reference_subset_check(f, prs, terms, k)
+        verdicts.add((len(terms), got.good))
+        if not got.good:
+            assert fam.replay_witness(f, got.witness, fam.GENERAL)
+    assert verdicts == {(12, True), (12, False), (10, True), (20, True),
+                        (70, True), (70, False)}
+
+
 def test_masks_mirror_phi():
     params = fam.override_params(2, 4, fam.GENERAL, p=17, q=5, unsafe=True)
     f = fam.sample_family(range(6), params, seed=7)
-    f = fam.TerminalFamily(params=params, seed=7,
-                           phi={**f.phi, 6: frozenset(), 7: frozenset({17})})
+    f = fam.TerminalFamily.from_phi(
+        params=params, seed=7,
+        phi={**f.phi, 6: frozenset(), 7: frozenset({17})})
     for t, idx in f.phi.items():
         assert {i for i in range(params.p + 1)
                 if f.masks[t] >> i & 1} == idx
@@ -224,7 +299,10 @@ def test_masks_mirror_phi():
             i for i in range(1, params.p + 1) if set(group) <= subsets[i]]
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 7, 8, 9, 1024, 1025, 8592])
+DRAW_WIDTHS = [1, 2, 3, 7, 8, 9, 1024, 1025, 8592]
+
+
+@pytest.mark.parametrize("p", [*DRAW_WIDTHS, 2**32 + 5])
 def test_index_draws_follow_randrange(p):
     # sample_family draws with getrandbits the values rng.randrange(1, p+1)
     # gives; an interpreter that changes randrange fails here
@@ -236,15 +314,44 @@ def test_index_draws_follow_randrange(p):
         assert ours.getstate() == theirs.getstate()
 
 
+def randrange_phi(terms, p, q, seed):
+    rng = random.Random(seed)
+    return {t: frozenset(rng.randrange(1, p + 1) for _ in range(q))
+            for t in sorted(terms)}
+
+
 def test_sample_family_matches_randrange_reference():
+    # the bulk draw and the one-at-a-time loop that sample_family keeps
+    # for p wider than 32 bits both give randrange's values; a whole
+    # family at p = 2**32 + 5 is not drawn here, since each of its masks
+    # would take 512 MiB
+    for p, terms, q in product(
+            DRAW_WIDTHS, ([], [0, 1, 2, 3, 4], [9, 2, 40, 7], range(12)),
+            (1, 5, 40)):
+        for seed in range(3):
+            want = randrange_phi(terms, p, q, seed)
+            params = fam.override_params(1, 4, fam.GENERAL, p, q, unsafe=True)
+            assert fam.sample_family(terms, params, seed).phi == want
+            masks = fam._scalar_masks(random.Random(seed), sorted(terms), p, q)
+            assert masks == fam.TerminalFamily.from_phi(
+                params, seed, want).masks
     for k, tau, mode in ((3, 12, fam.GENERAL), (2, 6, fam.SINGLE_SOURCE)):
         params = fam.default_params(k, tau, mode)
         for seed in range(5):
-            rng = random.Random(seed)
-            phi = {t: frozenset(rng.randrange(1, params.p + 1)
-                                for _ in range(params.q))
-                   for t in range(tau)}
-            assert fam.sample_family(range(tau), params, seed).phi == phi
+            assert (fam.sample_family(range(tau), params, seed).phi
+                    == randrange_phi(range(tau), params.p, params.q, seed))
+
+
+def test_masks_and_phi_round_trip():
+    params = fam.override_params(2, 4, fam.GENERAL, p=70, q=9, unsafe=True)
+    f = fam.sample_family([3, 5, 8, 13, 21], params, seed=4)
+    phi = {**f.phi, 34: frozenset(), 55: frozenset({1, 64, 70})}
+    g = fam.TerminalFamily.from_phi(params, 4, phi)
+    assert g.phi == phi
+    assert fam.TerminalFamily.from_phi(params, 4, g.phi) == g
+    assert fam.TerminalFamily.from_phi(params, 4, f.phi) == f
+    assert g.masks[34] == 0 and g.masks[55] == 2 | 1 << 64 | 1 << 70
+    assert g.phi_of([5, 55]) == phi[5] | phi[55]
 
 
 def test_witnesses_replay(rng):
@@ -281,13 +388,13 @@ def test_goodness_monotone_under_perturbation(seed):
         phi2 = dict(f.phi)
         phi2[s] = f.phi[s] | {i}
         phi2[t] = f.phi[t] | {i}
-        f2 = fam.TerminalFamily(params=params, seed=seed, phi=phi2)
+        f2 = fam.TerminalFamily.from_phi(params=params, seed=seed, phi=phi2)
         assert not (f2.phi[s] & f2.phi[t] <= f2.phi[x])
     # enlarging the blocker keeps any covered condition covered
     if covered_before:
         phi3 = dict(f.phi)
         phi3[x] = f.phi[x] | {rng.randrange(1, params.p + 1)}
-        f3 = fam.TerminalFamily(params=params, seed=seed, phi=phi3)
+        f3 = fam.TerminalFamily.from_phi(params=params, seed=seed, phi=phi3)
         assert f3.phi[s] & f3.phi[t] <= f3.phi[x]
 
 
@@ -356,6 +463,7 @@ def test_family_dump_roundtrip():
     assert text.startswith(f"family {params.p} {params.q} 9\n")
     small = fam.override_params(1, 4, fam.GENERAL, p=6, q=3)
     f = fam.sample_family(range(3), small, seed=9)
-    f = fam.TerminalFamily(params=small, seed=9, phi={**f.phi, 3: frozenset()})
+    f = fam.TerminalFamily.from_phi(params=small, seed=9,
+                                    phi={**f.phi, 3: frozenset()})
     assert fam.write_family(f) == (
         "family 6 3 9\nphi 0 3 4 5\nphi 1 2 3\nphi 2 1 3 6\nphi 3\n")
