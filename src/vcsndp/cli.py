@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Subcommands: gen, solve, verify, family, exact, bench.
+Subcommands: gen, solve, verify, family, exact, bench. `solve` and
+`bench` size the family by the terminal count tau; `--p/--q` give any
+other size.
 Exit codes: 0 success/feasible, 1 infeasible or not-good, 2 usage/input
-error, 3 search budget exceeded, 4 solver failure (the LP solver stopped
-without an optimum or a proof of infeasibility), 5 internal error (any
-other exception, a fault in the toolkit).
+error (a malformed file, a bad cost among them), 3 search budget
+exceeded, 4 solver failure (the LP solver stopped without an optimum or
+a proof of infeasibility), 5 internal error (any other exception, a
+fault in the toolkit).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .pipeline import (
     solve_exact_vcsndp,
     solve_pipeline,
 )
-from .report import BenchmarkOptions, benchmark, dumps, result_to_dict
+from .report import benchmark, dumps, result_to_dict
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -81,12 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=None)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--unsafe-params", action="store_true")
-        p.add_argument("--log-basis", choices=("n", "tau"), default="tau")
         p.add_argument("--verify", action="store_true",
                        help="verify the final solution pair by pair")
         p.add_argument("--verify-family", action="store_true",
                        help="exhaustively check family goodness (resampling)")
-        p.add_argument("--max-resamples", type=int, default=16)
         p.add_argument("--json", type=Path, default=None)
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
@@ -131,7 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run the pipeline over a directory")
     b.add_argument("directory", type=Path)
     add_solve_flags(b)
-    b.add_argument("--exact-budget", type=int, default=DEFAULT_NODE_BUDGET)
     b.add_argument("--no-exact", action="store_true",
                    help="skip the exact oracle")
     b.add_argument("--no-timing", action="store_true",
@@ -153,9 +153,7 @@ def _pipeline_config(args, mode: str) -> PipelineConfig:
         backend=args.backend,
         params_override=_params_override(args),
         unsafe_params=args.unsafe_params,
-        log_basis=args.log_basis,
         verify_family=args.verify_family,
-        max_resamples=args.max_resamples,
         verify_solution=args.verify,
         jobs=args.jobs,
     )
@@ -285,14 +283,14 @@ def _cmd_exact(args, out) -> int:
 
 
 def _cmd_bench(args, out) -> int:
+    if not args.directory.is_dir():
+        raise ValueError(f"{args.directory}: not a directory")
     paths = sorted(args.directory.glob("*.txt"))
     instances = [(p.name, parse_instance(p.read_text())) for p in paths]
-    opts = BenchmarkOptions(exact_oracle=not args.no_exact,
-                            exact_budget=args.exact_budget,
-                            include_timing=not args.no_timing)
     fixed = _FIXED_MODES.get(args.single_source)
     cfg = _pipeline_config(args, fixed or fam.GENERAL)
-    rep = benchmark(instances, cfg, opts,
+    rep = benchmark(instances, cfg, exact_oracle=not args.no_exact,
+                    include_timing=not args.no_timing,
                     mode_of=None if fixed else partial(_detect_mode, args))
     if args.json is not None:
         args.json.write_text(dumps(rep))

@@ -55,10 +55,6 @@ class ElementInstance:
                 u, v = sorted(pr)
                 raise ValueError(f"active pair ({u},{v}) not inside terminals")
 
-    @property
-    def k(self) -> int:
-        return max(self.active_pairs.values(), default=0)
-
 
 def induce_element_instance(
     inst: Instance, full_terminals: frozenset[int], subset: Iterable[int],
@@ -79,16 +75,15 @@ def _sorted_pairs(ei: ElementInstance):
     return sorted(ei.active_pairs, key=sorted)
 
 
-def _short_pair(ei: ElementInstance, edge_ids: frozenset[int] | None = None):
-    """The first active pair, in sorted order, whose element connectivity
-    over `edge_ids` (default: every edge) is below its requirement, with
-    that connectivity; None when every pair is served."""
-    for pr in _sorted_pairs(ei):
-        got = element_connectivity_pair(
+def _serves(ei: ElementInstance, edge_ids: frozenset[int]) -> bool:
+    """Whether `edge_ids` alone give every active pair its requirement in
+    element connectivity; checks the pairs in sorted order, stopping at
+    the first one short."""
+    return all(
+        element_connectivity_pair(
             ei.inst, ei.terminals, *sorted(pr), edge_ids).value
-        if got < ei.active_pairs[pr]:
-            return pr, got
-    return None
+        >= ei.active_pairs[pr]
+        for pr in _sorted_pairs(ei))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +189,7 @@ def linprog(costs: np.ndarray, rows: list[list[int]], rhs: list[float],
 
 @dataclass
 class LpState:
-    values: dict[int, float]              # edge id -> LP value in [0,1]
-    purchased: frozenset[int]
+    values: dict[int, float]              # free edge id -> LP value in [0,1]
     objective: float                      # cost of the fractional part
 
 
@@ -258,7 +252,7 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
         values = {e: min(1.0, max(0.0, float(res.x[pos[e]]))) for e in free}
 
     objective = float(np.dot(costs, [values[e] for e in free])) if free else 0.0
-    return LpState(values=values, purchased=purchased, objective=objective)
+    return LpState(values=values, objective=objective)
 
 
 @dataclass(frozen=True)
@@ -274,27 +268,20 @@ def solve_iterative_rounding(
     ei: ElementInstance,
 ) -> tuple[EdgeSolution, SolveCertificate]:
     """Iterative rounding: re-solve the LP, buy the max-value free edge,
-    until purchased edges alone satisfy every active pair."""
-    short = _short_pair(ei)
-    if short is not None:
-        pr, got = short
-        u, v = sorted(pr)
-        raise InfeasibleError(
-            f"pair ({u},{v}) needs {ei.active_pairs[pr]} element-disjoint "
-            f"paths but the full graph only provides {got}")
+    until purchased edges alone satisfy every active pair. A pair the full
+    graph cannot serve raises InfeasibleError from the first LP solve."""
     purchased: set[int] = set()
     log: list[tuple[int, float]] = []
     first_lp: float | None = None
 
-    while _short_pair(ei, frozenset(purchased)) is not None:
+    while not _serves(ei, frozenset(purchased)):
         lp = solve_lp(ei, purchased)
         if first_lp is None:
             first_lp = lp.objective
-        candidates = [e for e in lp.values if e not in purchased]
-        if not candidates:
+        if not lp.values:
             raise InfeasibleError("no edge left to purchase")
         # max LP value, ties to the lowest edge id, for determinism
-        best = min(candidates, key=lambda e: (-lp.values[e], e))
+        best = min(lp.values, key=lambda e: (-lp.values[e], e))
         purchased.add(best)
         log.append((best, lp.values[best]))
 
@@ -322,7 +309,7 @@ def solve_exact(ei: ElementInstance,
     """
     return branch_and_bound(
         ei.inst,
-        lambda ids: _short_pair(ei, ids) is None,
+        lambda ids: _serves(ei, ids),
         trivially_feasible=not ei.active_pairs,
         budget=budget)
 

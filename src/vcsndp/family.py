@@ -53,7 +53,7 @@ MODES = (GENERAL, SINGLE_SOURCE)
 @dataclass(frozen=True)
 class FamilyParams:
     k: int
-    basis: int          # n or tau, whichever the caller selected
+    basis: int          # the log's argument: tau, or `family --basis`
     mode: str
     p: int              # number of subsets
     q: int              # index draws per terminal

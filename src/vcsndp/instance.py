@@ -24,8 +24,11 @@ def pair(u: int, v: int) -> Pair:
 
 
 def parse_cost(text: str) -> Fraction:
-    """Exact cost from a decimal or 'a/b' literal."""
-    c = Fraction(text)
+    """Exact cost from a decimal or 'a/b' literal; ValueError if malformed."""
+    try:
+        c = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in cost {text}") from None
     if c < 0:
         raise ValueError(f"negative cost {text}")
     return c
@@ -220,10 +223,10 @@ def parse_solution(stream: TextIO | str, inst: Instance) -> EdgeSolution:
         raise ParseError("expected 'solution <count> <cost>' header", ln)
     try:
         count = int(head[1])
-        declared = Fraction(head[2])
-    except ValueError:
-        raise ParseError("bad solution header fields", ln) from None
-    ids = []
+        declared = parse_cost(head[2])
+    except ValueError as exc:
+        raise ParseError(f"bad solution header fields: {exc}", ln) from None
+    ids = set()
     for ln, toks in tokens[1:]:
         if len(toks) != 1:
             raise ParseError("expected one edge id per line", ln)
@@ -233,7 +236,9 @@ def parse_solution(stream: TextIO | str, inst: Instance) -> EdgeSolution:
             raise ParseError(f"non-integer edge id '{toks[0]}'", ln) from None
         if not (0 <= eid < inst.m):
             raise ParseError(f"edge id {eid} out of range", ln)
-        ids.append(eid)
+        if eid in ids:
+            raise ParseError(f"repeated edge id {eid}", ln)
+        ids.add(eid)
     if len(ids) != count:
         raise ParseError(f"header declares {count} edges, found {len(ids)}")
     sol = EdgeSolution.of(inst, ids)

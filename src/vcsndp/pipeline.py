@@ -35,6 +35,7 @@ from .errors import FamilyNotGoodError, InfeasibleError
 from .instance import EdgeSolution, Instance, derive_terminals
 
 BACKENDS = ("iterative", "exact")
+MAX_RESAMPLES = 16  # families drawn, at seeds seed..seed+15, before giving up
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,7 @@ class PipelineConfig:
     backend: str = "iterative"
     params_override: tuple[int, int] | None = None  # (p, q)
     unsafe_params: bool = False
-    log_basis: str = "tau"             # tau (default, Remark-1 rate) or n
     verify_family: bool = True
-    max_resamples: int = 16
     verify_solution: bool = True
     jobs: int = 1
 
@@ -55,10 +54,6 @@ class PipelineConfig:
             raise ValueError(f"mode must be one of {fam.MODES}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.log_basis not in ("tau", "n"):
-            raise ValueError("log_basis must be 'tau' or 'n'")
-        if self.max_resamples < 1:
-            raise ValueError("max_resamples >= 1")
         if self.jobs < 1:
             raise ValueError("jobs >= 1")
 
@@ -89,7 +84,9 @@ class PipelineResult:
 
 
 def check_instance_feasible(inst: Instance) -> None:
-    """r(u,v) must not exceed the full graph's vertex connectivity."""
+    """r(u,v) must not exceed the full graph's vertex connectivity.
+    Vertex-disjoint paths are element-disjoint too, so this also covers
+    the pairs of every induced element instance."""
     for pr in sorted(inst.requirements, key=sorted):
         u, v = sorted(pr)
         r = inst.requirements[pr]
@@ -123,9 +120,10 @@ def family_terminals(inst: Instance, mode: str
 
 
 def _sample_good_family(terminals, params, cfg, pairs):
-    """Sample; when verification is on, resample with seed+1 until good."""
+    """Sample; when verification is on, resample with seed+1 until good,
+    at most MAX_RESAMPLES draws in all."""
     last_witness = None
-    for attempt in range(cfg.max_resamples):
+    for attempt in range(MAX_RESAMPLES):
         f = fam.sample_family(terminals, params, cfg.seed + attempt)
         if not cfg.verify_family:
             return f, attempt
@@ -134,7 +132,7 @@ def _sample_good_family(terminals, params, cfg, pairs):
             return f, attempt
         last_witness = report.witness
     raise FamilyNotGoodError(
-        f"no good family within {cfg.max_resamples} resamples "
+        f"no good family within {MAX_RESAMPLES} resamples "
         f"(p={params.p}, q={params.q}); last witness: {last_witness}",
         witness=last_witness)
 
@@ -153,8 +151,8 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
     drawn, pinned = family_terminals(inst, cfg.mode)
     check_instance_feasible(inst)
     terminals = derive_terminals(inst)
-    basis = max(2, len(terminals) if cfg.log_basis == "tau" else inst.n)
-    params = fam.resolve_params(inst.k, basis, cfg.mode,
+    # the family is sized by log tau (Remark 1), as `family --from` sizes it
+    params = fam.resolve_params(inst.k, max(2, len(terminals)), cfg.mode,
                                 cfg.params_override, cfg.unsafe_params)
     pairs = frozenset(inst.requirements)
     family, resamples = _sample_good_family(drawn, params, cfg, pairs)

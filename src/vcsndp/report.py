@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .element import DEFAULT_NODE_BUDGET
 from .errors import BudgetExceededError
 from .instance import Instance, derive_terminals, format_cost
 from .pipeline import PipelineConfig, PipelineResult, solve_exact_vcsndp, solve_pipeline
@@ -51,7 +50,6 @@ def result_to_dict(inst: Instance, cfg: PipelineConfig,
         "seed": cfg.seed,
         "backend": cfg.backend,
         "params": {"p": params.p, "q": params.q, "basis": params.basis,
-                   "log_basis": cfg.log_basis,
                    "paper_relation": params.paper_relation},
         "family": {
             "resamples_used": result.resamples_used,
@@ -86,19 +84,13 @@ def dumps(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
-class BenchmarkOptions:
-    exact_oracle: bool = True
-    exact_budget: int = DEFAULT_NODE_BUDGET
-    include_timing: bool = True
-
-
 def benchmark(instances: Iterable[tuple[str, Instance]], cfg: PipelineConfig,
-              opts: BenchmarkOptions = BenchmarkOptions(),
+              *, exact_oracle: bool = True, include_timing: bool = True,
               mode_of: Callable[[Instance], str] | None = None) -> dict:
-    """Run the pipeline (and the exact oracle where it completes) over a
-    corpus; per-instance failures are recorded, not fatal. `mode_of`, when
-    given, picks each instance's mode, and the report's mode is "auto"."""
+    """Run the pipeline (and the exact oracle, within its default node
+    budget, where it completes) over a corpus; per-instance failures are
+    recorded, not fatal. `mode_of`, when given, picks each instance's mode,
+    and the report's mode is "auto"."""
     rows = []
     ratios = []
     for name, inst in instances:
@@ -127,9 +119,9 @@ def benchmark(instances: Iterable[tuple[str, Instance]], cfg: PipelineConfig,
                          if result.verification else None),
         })
         exact_opt = None
-        if opts.exact_oracle:
+        if exact_oracle:
             try:
-                exact_opt = solve_exact_vcsndp(inst, budget=opts.exact_budget)
+                exact_opt = solve_exact_vcsndp(inst)
             except BudgetExceededError:
                 pass
         if exact_opt is not None and exact_opt.cost > 0:
@@ -140,7 +132,7 @@ def benchmark(instances: Iterable[tuple[str, Instance]], cfg: PipelineConfig,
         else:
             row["exact_opt"] = None
             row["empirical_ratio"] = None
-        if opts.include_timing:
+        if include_timing:
             row["wall_time"] = time.monotonic() - start
         rows.append(row)
     return {

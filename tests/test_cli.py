@@ -1,12 +1,16 @@
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from vcsndp import family as fam
-from vcsndp.cli import run
+from vcsndp.cli import _build_parser, run
 from vcsndp.instance import write_instance
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 FEASIBLE = "graph 4 4\nedge 0 1 1\nedge 1 2 1\nedge 2 3 1\nedge 3 0 1\nreq 0 2 2\n"
 
 
@@ -79,6 +83,19 @@ def test_malformed_instance_exit_two(tmp_path):
     code, _, err = invoke(["solve", str(bad)])
     assert code == 2
     assert "self-loop" in err
+
+
+def test_zero_denominator_cost_exit_two(inst_file, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("graph 2 1\nedge 0 1 1/0\n")
+    code, _, err = invoke(["verify", str(bad), str(inst_file)])
+    assert code == 2
+    assert err.startswith("error: line 2: ") and "1/0" in err
+    sol = tmp_path / "sol.txt"
+    sol.write_text("# header next\nsolution 1 1/0\n0\n")
+    code, _, err = invoke(["verify", str(inst_file), str(sol)])
+    assert code == 2
+    assert err.startswith("error: line 2: ") and "1/0" in err
 
 
 def test_infeasible_instance_exit_one(tmp_path):
@@ -264,6 +281,18 @@ def test_bench_command(tmp_path):
     assert report.read_bytes() == first
 
 
+def test_bench_missing_directory_exit_two(tmp_path, inst_file):
+    for path in (tmp_path / "no_such_dir", inst_file):
+        code, out, err = invoke(["bench", str(path), "--no-exact"])
+        assert code == 2 and out == ""
+        assert "not a directory" in err
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code, out, _ = invoke(["bench", str(empty)])
+    assert code == 0
+    assert out.startswith("instances 0 ")
+
+
 _COVERED = "'phi(s) & phi(t) is covered by phi(X)'"
 
 
@@ -327,3 +356,14 @@ def test_bench_auto_detects_mode_per_instance(tmp_path):
         _, out, _ = invoke(["solve", str(corpus / name), "--seed", "4"])
         assert f"mode {row['mode']}\n" in out
         assert f"p {row['p']} q {row['q']} " in out
+
+
+def test_readme_cli_lines_parse():
+    # every command in the README's CLI block parses; none is run
+    block = re.search(r"^## CLI\n+```\n(.*?)^```", README.read_text(),
+                      re.M | re.S).group(1)
+    lines = [ln for ln in block.splitlines() if ln.startswith("vcsndp ")]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert _build_parser().parse_args(argv).command == argv[0]

@@ -127,6 +127,8 @@ def test_lp_infeasible_pair_raises():
         solve_lp(ei)
     with pytest.raises(InfeasibleError):
         solve_lp(ei, purchased={0})
+    with pytest.raises(InfeasibleError):
+        solve_iterative_rounding(ei)
 
 
 def test_linprog_matches_scipy_linprog():

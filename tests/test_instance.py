@@ -122,6 +122,12 @@ def test_solution_cost_mismatch_rejected():
         parse_solution("solution 1 4\n0\n", inst)
 
 
+def test_solution_repeated_edge_id_rejected():
+    inst = parse_instance("graph 2 1\nedge 0 1 5\n")
+    with pytest.raises(ParseError, match="line 3: repeated edge id 0"):
+        parse_solution("solution 2 5\n0\n0\n", inst)
+
+
 def test_instance_invariants():
     with pytest.raises(ValueError):
         Instance(2, ((0, 0, Fraction(1)),))

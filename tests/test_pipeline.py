@@ -13,7 +13,7 @@ from vcsndp.pipeline import (
     solve_exact_vcsndp,
     solve_pipeline,
 )
-from vcsndp.report import BenchmarkOptions, benchmark, dumps, result_to_dict
+from vcsndp.report import benchmark, dumps, result_to_dict
 
 
 def feasible_instances(count, rng, n_max=10, k_max=2, pairs=2):
@@ -190,16 +190,16 @@ def test_benchmark_report():
     instances = [(f"i{j}", inst)
                  for j, inst in enumerate(feasible_instances(3, rng, n_max=7))]
     cfg = PipelineConfig(seed=2, verify_family=True, verify_solution=True)
-    opts = BenchmarkOptions(include_timing=False)
-    rep = benchmark(instances, cfg, opts)
+    rep = benchmark(instances, cfg, include_timing=False)
     assert rep["aggregate"]["count"] == 3
     for row in rep["instances"]:
         assert row["feasible"] is True
         if row["empirical_ratio"] is not None:
             assert row["empirical_ratio"] <= 2 * row["p"]
     # determinism without timing
-    assert dumps(rep) == dumps(benchmark(instances, cfg, opts))
-    assert benchmark([], cfg, opts)["instances"] == []
+    assert dumps(rep) == dumps(benchmark(instances, cfg,
+                                         include_timing=False))
+    assert benchmark([], cfg, include_timing=False)["instances"] == []
 
 
 def test_solve_pipeline_dispatch():
