@@ -1,15 +1,15 @@
 """Connectivity queries by max-flow, plus brute-force Menger oracles.
 
-All three queries use one node-splitting construction: every vertex left
-unsplit is one node, every other vertex an in/out pair joined by a unit
-arc. Vertex connectivity leaves only the endpoints unsplit and gives graph
-edges effectively-infinite arcs except direct s-t edges, which count one
-path each. Element connectivity splits only non-terminal vertices and
-gives every edge unit (or, for LP separation, fractional) capacity, so
-minimum cuts are mixed (edge set F, non-terminal vertex set X) per Menger.
-LP separation builds its network once per LP (SeparationNetwork) and runs
-Dinic on exact ints: the fractional capacities scaled by the lcm of their
-denominators.
+Every query runs on one network, ElementNetwork(inst, terminals): each
+non-terminal vertex becomes an in/out pair joined by a unit arc, each edge
+an arc each way with the capacity the query gives it. Minimum cuts are
+mixed (edge set F, non-terminal vertex set X) per Menger. Vertex
+connectivity of s, t is element connectivity with terminals {s, t}:
+internally vertex-disjoint s-t paths are exactly the paths that share no
+edge and no vertex but s and t. Only the terminals and the vertices on an
+edge get nodes, so isolated vertices cost nothing. Capacities in [0,1] are
+scaled by the lcm of their denominators, so Dinic runs on exact ints; LP
+separation reloads one network per LP.
 """
 
 from __future__ import annotations
@@ -21,76 +21,81 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import BudgetExceededError
-from .instance import EdgeSolution, Instance, Pair
+from .instance import EdgeSolution, Instance
 from .maxflow import CapacitatedNetwork
 
 
 @dataclass(frozen=True)
 class ConnectivityQueryResult:
-    value: Fraction | int
+    value: Fraction
     cut_edges: frozenset[int]     # edge ids
     cut_vertices: frozenset[int]  # vertex ids
 
 
-def _edge_list(inst: Instance, edge_ids: Iterable[int] | None):
-    if edge_ids is None:
-        return list(enumerate(inst.edges))
-    return [(e, inst.edges[e]) for e in sorted(set(edge_ids))]
-
-
-def _check_query(s, t, terminals=None):
-    if terminals is not None and (s not in terminals or t not in terminals):
+def _check_query(s, t, terminals):
+    if s not in terminals or t not in terminals:
         raise ValueError("s and t must be terminals")
     if s == t:
         raise ValueError("s == t")
 
 
-@dataclass(frozen=True)
-class _SplitNetwork:
-    net: CapacitatedNetwork
-    node_in: list[int]
-    node_out: list[int]
+class ElementNetwork:
+    """The element-connectivity network of `inst` with `terminals`, built
+    once over every edge and queried under any edge capacities."""
 
+    def __init__(self, inst: Instance, terminals: Iterable[int]):
+        self.inst, self.terminals = inst, frozenset(terminals)
+        self._net = net = CapacitatedNetwork()
+        self._split: list[int] = []  # the vertex of each vertex arc
+        node_in, node_out = {}, {}
+        ends = {w for u, v, _ in inst.edges for w in (u, v)}
+        for w in sorted(ends | self.terminals):
+            node_in[w] = node_out[w] = net.add_node()
+            if w not in self.terminals:
+                node_out[w] = net.add_node()
+                net.add_arc(node_in[w], node_out[w], 1)
+                self._split.append(w)
+        # then edge e's two arcs, 2e and 2e + 1 places after the vertex arcs
+        for u, v, _ in inst.edges:
+            net.add_arc(node_out[u], node_in[v], 1)
+            net.add_arc(node_out[v], node_in[u], 1)
+        self._node = node_in
+        self._capacities: Mapping[int, Fraction] | None = None
+        self._scale = 1
 
-def _split_network(inst: Instance, unsplit, edge_caps, one_way=frozenset(),
-                   source: int | None = None) -> _SplitNetwork:
-    """The node-splitting network.
+    def _load(self, capacities: Mapping[int, Fraction]) -> None:
+        ratios = [capacities.get(eid, 0).as_integer_ratio()
+                  for eid in range(self.inst.m)]
+        if any(not 0 <= num <= den for num, den in ratios):
+            raise ValueError("capacity outside [0,1]")
+        scale = math.lcm(*(den for _, den in ratios))
+        edge_caps = [num * (scale // den) for num, den in ratios]
+        split = len(self._split)
+        caps = [scale] * (split + 2 * len(edge_caps))
+        caps[split::2] = caps[split + 1::2] = edge_caps
+        self._net.set_capacities(caps)
+        self._capacities, self._scale = capacities, scale
 
-    Every vertex outside `unsplit` becomes an in/out pair joined by a unit
-    arc; `edge_caps` lists (edge id, capacity) for the edges in the
-    network, which get an arc each way after all vertex arcs. Edges in
-    `one_way` join `source` to the sink and get only the arc out of
-    `source`.
-    """
-    net = CapacitatedNetwork()
-    node_in, node_out = [], []
-    for w in range(inst.n):
-        node_in.append(net.add_node())
-        if w in unsplit:
-            node_out.append(node_in[w])
-        else:
-            node_out.append(net.add_node())
-            net.add_arc(node_in[w], node_out[w], 1, ("vertex", w))
-    for eid, cap in edge_caps:
-        u, v, _ = inst.edges[eid]
-        tag = ("edge", eid)
-        if eid in one_way and v == source:
-            u, v = v, u
-        net.add_arc(node_out[u], node_in[v], cap, tag)
-        if eid not in one_way:
-            net.add_arc(node_out[v], node_in[u], cap, tag)
-    return _SplitNetwork(net, node_in, node_out)
+    def min_cut(self, s: int, t: int,
+                capacities: Mapping[int, Fraction]) -> ConnectivityQueryResult:
+        """Minimum s-t cut when edge e has capacity capacities[e] in [0,1]
+        (default 0) and every non-terminal vertex 1.
 
-
-def _min_cut(split: _SplitNetwork, s: int, t: int) -> ConnectivityQueryResult:
-    """Minimum s-t cut of a node-splitting network, as graph objects."""
-    value, cut = split.net.max_flow(split.node_out[s], split.node_in[t])
-    cut_refs = {"edge": set(), "vertex": set()}
-    for aid in cut:
-        kind, ref = split.net.tags[aid]
-        cut_refs[kind].add(ref)
-    return ConnectivityQueryResult(value, frozenset(cut_refs["edge"]),
-                                   frozenset(cut_refs["vertex"]))
+        The network keeps the capacities it last loaded, and reloads only
+        for a different mapping object, so the caller must not change that
+        mapping in place between queries. A cut of scaled value c is a cut
+        of value c / L for the lcm L, and scaling keeps the minimum cut.
+        """
+        _check_query(s, t, self.terminals)
+        if capacities is not self._capacities:
+            self._load(capacities)
+        value, cut = self._net.max_flow(self._node[s], self._node[t])
+        split = len(self._split)
+        arcs = [aid // 2 for aid in cut]
+        return ConnectivityQueryResult(
+            Fraction(value, self._scale),
+            frozenset((a - split) // 2 for a in arcs if a >= split),
+            frozenset(self._split[a] for a in arcs if a < split))
 
 
 def vertex_connectivity_pair(
@@ -98,15 +103,7 @@ def vertex_connectivity_pair(
     edge_ids: Iterable[int] | None = None,
 ) -> ConnectivityQueryResult:
     """Max internally vertex-disjoint s-t paths in the given edge subset."""
-    _check_query(s, t)
-    edges = _edge_list(inst, edge_ids)
-    big = len(edges) + inst.n + 1
-    # each parallel direct edge contributes exactly one path
-    direct = {eid for eid, (u, v, _) in edges if {u, v} == {s, t}}
-    return _min_cut(_split_network(
-        inst, (s, t),
-        [(eid, 1 if eid in direct else big) for eid, _ in edges],
-        direct, s), s, t)
+    return element_connectivity_pair(inst, frozenset((s, t)), s, t, edge_ids)
 
 
 def element_connectivity_pair(
@@ -114,73 +111,26 @@ def element_connectivity_pair(
     edge_ids: Iterable[int] | None = None,
 ) -> ConnectivityQueryResult:
     """Max element-disjoint s-t paths (elements: edges + non-terminals)."""
-    _check_query(s, t, terminals)
-    return _min_cut(_split_network(
-        inst, terminals,
-        [(eid, 1) for eid, _ in _edge_list(inst, edge_ids)]), s, t)
-
-
-class SeparationNetwork:
-    """The LP separation network of one element instance, built once.
-
-    Non-terminal vertices count 1, edges in `fixed_edges` count 1, every
-    other edge its LP capacity. Capacities are scaled by the lcm L of
-    their denominators, so Dinic runs on exact ints: a cut of scaled value
-    c is a cut of value c / L, and scaling keeps the minimum cut.
-    """
-
-    def __init__(self, inst: Instance, terminals: frozenset[int],
-                 fixed_edges: frozenset[int] = frozenset()):
-        self.fixed_edges = fixed_edges
-        # zero-capacity arcs stay in the network so cut witnesses can name
-        # saturated-at-zero edges
-        self._split = _split_network(
-            inst, terminals, [(eid, 1) for eid in range(inst.m)])
-        self._arc_edge = [ref if kind == "edge" else None
-                          for kind, ref in self._split.net.tags[0::2]]
-        self.capacities: Mapping[int, Fraction] | None = None
-        self._scale = 1
-
-    def load(self, capacities: Mapping[int, Fraction]) -> None:
-        """Take exact edge capacities in [0,1] (default 0)."""
-        ratios = {eid: c.as_integer_ratio() for eid, c in capacities.items()}
-        if any(not 0 <= num <= den for num, den in ratios.values()):
-            raise ValueError("capacity outside [0,1]")
-        ratios.update(dict.fromkeys(self.fixed_edges, (1, 1)))
-        scale = math.lcm(*(den for _, den in ratios.values()))
-        arcs = [(1, 1) if eid is None else ratios.get(eid, (0, 1))
-                for eid in self._arc_edge]
-        self._split.net.set_capacities(
-            [num * (scale // den) for num, den in arcs])
-        self.capacities, self._scale = capacities, scale
-
-    def min_cut(self, s: int, t: int) -> ConnectivityQueryResult:
-        res = _min_cut(self._split, s, t)
-        return ConnectivityQueryResult(
-            Fraction(res.value, self._scale), res.cut_edges, res.cut_vertices)
+    ids = range(inst.m) if edge_ids is None else edge_ids
+    return ElementNetwork(inst, terminals).min_cut(
+        s, t, dict.fromkeys(ids, 1))
 
 
 def fractional_element_mincut(
     inst: Instance, terminals: frozenset[int], s: int, t: int,
     capacities: Mapping[int, Fraction],
-    fixed_edges: frozenset[int] = frozenset(),
-    network: SeparationNetwork | None = None,
+    network: ElementNetwork | None = None,
 ) -> ConnectivityQueryResult:
     """Minimum mixed cut value under fractional edge capacities in [0,1].
 
-    Edges in fixed_edges count at capacity 1, others at capacities[eid]
-    (default 0); non-terminal vertices count 1. Used as the separation
-    oracle for the set-pair LP relaxation. A `network` built for the same
-    inst, terminals and fixed_edges is reused; it loads `capacities` only
-    when they are not the mapping it already holds, so the caller must not
-    change that mapping in place between queries.
+    Edge e counts at capacities[e] (default 0), every non-terminal vertex
+    at 1. Used as the separation oracle for the set-pair LP relaxation. A
+    `network` built for the same inst and terminals is reused, under the
+    terms of ElementNetwork.min_cut.
     """
-    _check_query(s, t, terminals)
     if network is None:
-        network = SeparationNetwork(inst, terminals, fixed_edges)
-    if network.capacities is not capacities:
-        network.load(capacities)
-    return network.min_cut(s, t)
+        network = ElementNetwork(inst, terminals)
+    return network.min_cut(s, t, capacities)
 
 
 @dataclass(frozen=True)
@@ -213,29 +163,18 @@ def verify_vc_solution(inst: Instance, sol: EdgeSolution) -> VerificationReport:
     return VerificationReport(ok, tuple(reports))
 
 
-def verify_element_solution(
-    inst: Instance, terminals: frozenset[int],
-    active_pairs: Mapping[Pair, int], edge_ids: Iterable[int],
-) -> VerificationReport:
-    """Element-connectivity analogue of verify_vc_solution."""
-    ids = frozenset(edge_ids)
-    reports = []
-    ok = True
-    for pr in sorted(active_pairs, key=sorted):
-        u, v = sorted(pr)
-        r = active_pairs[pr]
-        got = element_connectivity_pair(inst, terminals, u, v, ids).value
-        ok &= got >= r
-        reports.append(PairReport(u, v, r, int(got)))
-    return VerificationReport(ok, tuple(reports))
-
-
 # ---------------------------------------------------------------------------
 # Brute-force Menger oracles: enumerate removal sets in increasing size.
 # Only viable on desk-scale graphs; these are the independent test oracles.
 # ---------------------------------------------------------------------------
 
 _DEFAULT_ENUM_BUDGET = 1 << 20
+
+
+def _edge_list(inst: Instance, edge_ids: Iterable[int] | None):
+    if edge_ids is None:
+        return list(enumerate(inst.edges))
+    return [(e, inst.edges[e]) for e in sorted(set(edge_ids))]
 
 
 def _connected_after_removal(inst, edges, s, t, gone_edges, gone_vertices):

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .connectivity import (
-    SeparationNetwork,
+    ElementNetwork,
     element_connectivity_pair,
     fractional_element_mincut,
 )
@@ -197,17 +197,17 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
     """Optimize the mixed-cut relaxation given already-purchased edges.
 
     Loop: separate every active pair with the fractional min-cut oracle at
-    the current point; add each violated cut Sum_{e in F free} x_e >=
-    r - |X| - |F purchased| and re-solve until no cut is violated. A pair
-    the full graph cannot serve ends in InfeasibleError: its cut either
-    has no free edge or makes the LP infeasible. Any other LP failure
-    raises SolverError.
+    the current point, purchased edges at capacity 1; add each violated
+    cut Sum_{e in F free} x_e >= r - |X| - |F purchased| and re-solve until
+    no cut is violated. A pair the full graph cannot serve ends in
+    InfeasibleError: its cut either has no free edge or makes the LP
+    infeasible. Any other LP failure raises SolverError.
     """
     purchased = frozenset(purchased)
     free = [e for e in range(ei.inst.m) if e not in purchased]
     pos = {e: j for j, e in enumerate(free)}
     costs = np.array([float(ei.inst.edge_cost(e)) for e in free])
-    network = SeparationNetwork(ei.inst, ei.terminals, purchased)
+    network = ElementNetwork(ei.inst, ei.terminals)
     solver = lp_solver()
 
     values = {e: 0.0 for e in free}
@@ -218,14 +218,14 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
     while True:
         exact = {x: Fraction(x).limit_denominator(10**12)
                  for x in set(values.values())}
-        caps = {e: exact[values[e]] for e in free}
+        caps = ({e: exact[values[e]] for e in free}
+                | dict.fromkeys(purchased, Fraction(1)))
         new_rows = 0
         for pr in _sorted_pairs(ei):
             u, v = sorted(pr)
             r = ei.active_pairs[pr]
             res = fractional_element_mincut(
-                ei.inst, ei.terminals, u, v, caps, fixed_edges=purchased,
-                network=network)
+                ei.inst, ei.terminals, u, v, caps, network=network)
             if float(res.value) >= r - SEPARATION_TOL:
                 continue
             f_free = frozenset(res.cut_edges) - purchased
@@ -306,22 +306,21 @@ def solve_exact(ei: ElementInstance,
 
     Branches over edges in nonincreasing cost order, exclude-first; a
     branch dies when the edges still available cannot satisfy some pair.
+    A pair the full graph cannot serve raises InfeasibleError.
     """
-    return branch_and_bound(
-        ei.inst,
-        lambda ids: _serves(ei, ids),
-        trivially_feasible=not ei.active_pairs,
-        budget=budget)
-
-
-def branch_and_bound(inst: Instance, feasible, trivially_feasible: bool,
-                     budget: int) -> EdgeSolution:
-    """Cheapest edge subset accepted by the monotone `feasible` test."""
-    if trivially_feasible:
-        return EdgeSolution.of(inst, ())
-    all_ids = frozenset(range(inst.m))
-    if not feasible(all_ids):
+    if not ei.active_pairs:
+        return EdgeSolution.of(ei.inst, ())
+    if not _serves(ei, frozenset(range(ei.inst.m))):
         raise InfeasibleError("full edge set is not feasible")
+    return branch_and_bound(ei.inst, lambda ids: _serves(ei, ids), budget)
+
+
+def branch_and_bound(inst: Instance, feasible, budget: int) -> EdgeSolution:
+    """Cheapest edge subset accepted by the monotone `feasible` test.
+
+    Precondition: `feasible` accepts the full edge set, which the callers
+    check once before the search."""
+    all_ids = frozenset(range(inst.m))
     order = sorted(all_ids, key=lambda e: (-inst.edge_cost(e), e))
     best_ids = all_ids
     best_cost = inst.total_cost(all_ids)

@@ -16,6 +16,9 @@ from .errors import ParseError
 
 Pair = frozenset  # frozenset({u, v}) with u != v
 
+# the LP solver takes a cost at or above 1e20 for infinite
+MAX_EDGE_COST = 10**20
+
 
 def pair(u: int, v: int) -> Pair:
     if u == v:
@@ -171,6 +174,8 @@ def parse_instance(stream: TextIO | str) -> Instance:
                 raise ParseError(f"self-loop at vertex {u}", ln)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"vertex id out of range 0..{n - 1}", ln)
+            if cost >= MAX_EDGE_COST:
+                raise ParseError(f"cost {toks[3]} is not below 10**20", ln)
             edges.append((u, v, cost))
         elif kind == "req":
             if len(toks) != 4:

@@ -1,30 +1,29 @@
 """Exact max-flow / min-cut on capacitated directed networks.
 
 Dinic's algorithm over exact arithmetic (int or Fraction capacities), so
-connectivity values and LP separation never suffer float drift. Arcs may
-carry a (kind, ref) tag so min cuts can be mapped back to graph objects.
-A network can be queried many times: every max_flow call starts from the
-arc capacities, which set_capacities may replace between calls.
+connectivity values and LP separation never suffer float drift. Arcs are
+numbered in the order they are added (add_arc returns twice that number),
+which is all a caller needs to map min cuts back to its own objects. A
+network can be queried many times: every max_flow call starts from the arc
+capacities, which set_capacities may replace between calls.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Hashable
 
 Num = int | Fraction
 
 
 class CapacitatedNetwork:
-    """Directed network with tagged arcs and a single source/sink query."""
+    """Directed network with a single source/sink query."""
 
     def __init__(self):
         self._n = 0
         self.heads: list[int] = []
         self.caps: list[Num] = []  # residual capacity, reset by max_flow
         self.orig: list[Num] = []
-        self.tags: list[tuple[str, Hashable] | None] = []
         self.adj: list[list[int]] = []
 
     def add_node(self) -> int:
@@ -32,8 +31,7 @@ class CapacitatedNetwork:
         self._n += 1
         return self._n - 1
 
-    def add_arc(self, tail: int, head: int, cap: Num,
-                tag: tuple[str, Hashable] | None = None) -> int:
+    def add_arc(self, tail: int, head: int, cap: Num) -> int:
         """Add arc tail->head; a zero-capacity reverse arc is paired with it."""
         if cap < 0:
             raise ValueError("negative capacity")
@@ -42,7 +40,6 @@ class CapacitatedNetwork:
         aid = len(self.heads)
         self.heads.extend((head, tail))
         self.orig.extend((cap, 0))
-        self.tags.extend((tag, None))
         self.adj[tail].append(aid)
         self.adj[head].append(aid + 1)
         return aid

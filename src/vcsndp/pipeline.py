@@ -227,5 +227,4 @@ def solve_exact_vcsndp(inst: Instance,
         inst,
         lambda ids: verify_vc_solution(
             inst, EdgeSolution.of(inst, ids)).feasible,
-        trivially_feasible=False,
-        budget=budget)
+        budget)

@@ -1,5 +1,10 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +38,22 @@ def c4(r=2):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_capped(args, limit=1 << 30, timeout=120):
+    """Run the vcsndp CLI on `args` in a child process whose address space
+    RLIMIT_AS caps at `limit` bytes; the limit binds the child only. For
+    inputs that could allocate without bound: past the cap the child fails
+    instead of the machine. Returns the CompletedProcess, text captured."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "vcsndp.cli", *map(str, args)],
+        preexec_fn=cap, capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path})

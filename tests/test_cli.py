@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_cli_capped
 from vcsndp import family as fam
 from vcsndp.cli import _build_parser, run
 from vcsndp.instance import write_instance
@@ -230,6 +231,16 @@ def test_internal_error_exit_five(inst_file, tmp_path, monkeypatch):
     code, out, _ = invoke(["bench", str(corpus), "--no-exact", "--no-timing"])
     assert code == 0
     assert "c4.txt: ERROR RuntimeError: stub fault" in out
+
+
+@pytest.mark.parametrize("argv", [["solve", "--verify"], ["exact"]])
+def test_isolated_vertices_take_no_memory(tmp_path, argv):
+    # one edge among 2*10^7 vertices: a node per vertex would not fit the cap
+    path = tmp_path / "inst.txt"
+    path.write_text("graph 20000000 1\nedge 0 1 1\nreq 0 1 1\n")
+    proc = run_cli_capped([argv[0], path, *argv[1:]])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "cost 1" in proc.stdout
 
 
 def test_solve_verify_long_path(tmp_path):

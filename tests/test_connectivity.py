@@ -6,9 +6,8 @@ import pytest
 
 from conftest import c4, random_graph, triangle
 from vcsndp.connectivity import (
-    SeparationNetwork,
-    _min_cut,
-    _split_network,
+    ConnectivityQueryResult,
+    ElementNetwork,
     brute_force_menger_element,
     brute_force_menger_vertex,
     element_connectivity_pair,
@@ -18,6 +17,7 @@ from vcsndp.connectivity import (
 )
 from vcsndp.errors import BudgetExceededError
 from vcsndp.instance import EdgeSolution, Instance
+from vcsndp.maxflow import CapacitatedNetwork
 
 
 def complete_graph(n):
@@ -99,29 +99,52 @@ def test_fractional_rejects_bad_caps():
             triangle(), frozenset({0, 1}), 0, 1, {0: Fraction(3, 2)})
 
 
+def fraction_min_cut(inst, terminals, caps, s, t):
+    """The element network built afresh on Fraction capacities, one node
+    (non-terminals an in/out pair) for every vertex, isolated ones too."""
+    net = CapacitatedNetwork()
+    node_in = [net.add_node() for _ in range(inst.n)]
+    node_out = list(node_in)
+    ref = {}
+    for w in sorted(set(range(inst.n)) - terminals):
+        node_out[w] = net.add_node()
+        ref[net.add_arc(node_in[w], node_out[w], Fraction(1))] = ("v", w)
+    for e, (u, v, _) in enumerate(inst.edges):
+        cap = caps.get(e, Fraction(0))
+        ref[net.add_arc(node_out[u], node_in[v], cap)] = ("e", e)
+        ref[net.add_arc(node_out[v], node_in[u], cap)] = ("e", e)
+    value, cut = net.max_flow(node_in[s], node_in[t])
+    return ConnectivityQueryResult(
+        value, frozenset(r for kind, r in map(ref.get, cut) if kind == "e"),
+        frozenset(r for kind, r in map(ref.get, cut) if kind == "v"))
+
+
 def test_reused_separation_network_matches_a_fraction_build():
     # one integer-scaled network, reloaded and queried in two pair orders,
-    # against a fresh Fraction-capacity network per query
+    # against a fresh Fraction-capacity network per query; bought edges are
+    # capacity-1 entries, as in the LP separation
     rng = random.Random(41)
     for _ in range(25):
-        inst = random_graph(rng.randint(4, 8), 0.6, rng)
+        graph = random_graph(rng.randint(4, 8), 0.6, rng)
+        inst = Instance(graph.n + 2, graph.edges)  # two isolated vertices
         terminals = frozenset(
             rng.sample(range(inst.n), rng.randint(2, min(5, inst.n))))
-        fixed = frozenset(e for e in range(inst.m) if rng.random() < 0.2)
+        bought = dict.fromkeys(
+            (e for e in range(inst.m) if rng.random() < 0.2), Fraction(1))
         pairs = list(itertools.combinations(sorted(terminals), 2))
-        network = SeparationNetwork(inst, terminals, fixed)
+        network = ElementNetwork(inst, terminals)
         for _ in range(2):
             caps = {}
             for e in range(inst.m):
                 den = rng.choice((1, 2, 3, 7, 10**12 - 11))
                 caps[e] = Fraction(rng.randint(0, den), den)
-            want = {(s, t): _min_cut(_split_network(inst, terminals, [
-                (e, Fraction(1) if e in fixed else caps[e])
-                for e in range(inst.m)]), s, t) for s, t in pairs}
+            caps |= bought
+            want = {(s, t): fraction_min_cut(inst, terminals, caps, s, t)
+                    for s, t in pairs}
             for order in (pairs, pairs[::-1]):
                 for s, t in order:
                     got = fractional_element_mincut(
-                        inst, terminals, s, t, caps, fixed, network=network)
+                        inst, terminals, s, t, caps, network=network)
                     assert got == want[s, t]
 
 
@@ -150,11 +173,16 @@ def test_brute_force_budget_guard():
 
 
 def test_flow_matches_brute_force_vertex(rng):
-    for trial in range(20):
-        inst = random_graph(rng.randint(4, 7), 0.45, rng)
-        s, t = rng.sample(range(inst.n), 2)
-        assert vertex_connectivity_pair(inst, s, t).value == \
-            brute_force_menger_vertex(inst, s, t), (trial, s, t, inst)
+    # on every edge and on a random subset, with up to two direct s-t edges
+    # beside any the graph already has: each direct edge is one path
+    for trial in range(40):
+        graph = random_graph(rng.randint(4, 7), 0.45, rng)
+        s, t = rng.sample(range(graph.n), 2)
+        direct = ((s, t, Fraction(1)),) * rng.randint(0, 2)
+        inst = Instance(graph.n, graph.edges + direct)
+        for ids in (None, rng.sample(range(inst.m), rng.randint(0, inst.m))):
+            assert vertex_connectivity_pair(inst, s, t, ids).value == \
+                brute_force_menger_vertex(inst, s, t, ids), (trial, s, t, ids)
 
 
 def test_flow_matches_brute_force_element(rng):

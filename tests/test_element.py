@@ -11,8 +11,10 @@ import scipy.optimize
 
 from conftest import random_graph, triangle
 from vcsndp.connectivity import (
+    PairReport,
+    VerificationReport,
+    element_connectivity_pair,
     fractional_element_mincut,
-    verify_element_solution,
 )
 from vcsndp.element import (
     ElementInstance,
@@ -29,11 +31,21 @@ from vcsndp.instance import Instance, derive_terminals, pair
 TOL = 1e-6
 
 
+def verify_element_solution(inst, terminals, active_pairs, edge_ids):
+    """Element-connectivity analogue of verify_vc_solution."""
+    ids = frozenset(edge_ids)
+    reports = []
+    for pr in sorted(active_pairs, key=sorted):
+        u, v = sorted(pr)
+        got = element_connectivity_pair(inst, terminals, u, v, ids).value
+        reports.append(PairReport(u, v, active_pairs[pr], int(got)))
+    return VerificationReport(
+        all(p.achieved >= p.required for p in reports), tuple(reports))
+
+
 def random_element_instance(rng, n_max=6, k_max=2, want_pairs=2):
     """Feasible random element instance with requirements clamped to the
     full graph's element connectivity."""
-    from vcsndp.connectivity import element_connectivity_pair
-
     while True:
         inst = random_graph(rng.randint(4, n_max), 0.55, rng)
         terms = frozenset(rng.sample(range(inst.n),

@@ -44,6 +44,10 @@ def test_parse_comments_and_blanks():
     ("graph 2 0\nreq 0 1 1\nreq 1 0 2\n", "duplicate", 3),
     ("graph 2 0\nreq 0 1 0\n", ">= 1", 2),
     ("graph 2 0\nbogus 1 2\n", "unknown directive", 2),
+    # the LP solver reads a cost of 1e20 or more as infinite
+    ("graph 2 1\nedge 0 1 1e400\n", "not below 10**20", 2),
+    ("graph 2 1\n\nedge 0 1 123456789012345678901234567890/7\n",
+     "not below 10**20", 3),
     ("", "empty input", None),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment, line):
