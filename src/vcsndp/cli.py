@@ -5,9 +5,10 @@ Subcommands: gen, solve, verify, family, exact, bench. `solve` and
 other size.
 Exit codes: 0 success/feasible, 1 infeasible or not-good, 2 usage/input
 error (a malformed file, a bad cost among them), 3 search budget
-exceeded, 4 solver failure (the LP solver stopped without an optimum or
-a proof of infeasibility), 5 internal error (any other exception, a
-fault in the toolkit).
+exceeded, 4 solver failure (the LP solver rejected a model or stopped
+without an optimum or a proof of infeasibility, or a cutting-plane loop
+reached its round cap), 5 internal error (any other exception, a fault
+in the toolkit).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .instance import (
 )
 from .pipeline import (
     PipelineConfig,
+    check_instance_feasible,
     family_terminals,
     find_common_source,
     solve_exact_vcsndp,
@@ -235,6 +237,8 @@ def _cmd_family(args, out) -> int:
         if args.k not in (None, k):
             raise ValueError(f"--k {args.k} differs from the instance's "
                              f"largest requirement {k}")
+        # as `solve` does, before k sizes the family
+        check_instance_feasible(inst)
         drawn, _ = family_terminals(inst, args.mode)
         terminals = sorted(drawn)
         tau = len(derive_terminals(inst))

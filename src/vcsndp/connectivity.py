@@ -8,8 +8,10 @@ connectivity of s, t is element connectivity with terminals {s, t}:
 internally vertex-disjoint s-t paths are exactly the paths that share no
 edge and no vertex but s and t. Only the terminals and the vertices on an
 edge get nodes, so isolated vertices cost nothing. Capacities in [0,1] are
-scaled by the lcm of their denominators, so Dinic runs on exact ints; LP
-separation reloads one network per LP.
+scaled by the lcm of their denominators, so Dinic runs on exact ints. An
+element solve builds one network and reloads it for each separation round
+and each integral check. A query that only asks whether the value reaches
+a target stops its flow there.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .maxflow import CapacitatedNetwork
 @dataclass(frozen=True)
 class ConnectivityQueryResult:
     value: Fraction
-    cut_edges: frozenset[int]     # edge ids
-    cut_vertices: frozenset[int]  # vertex ids
+    cut_edges: frozenset[int] | None     # edge ids; None past a target
+    cut_vertices: frozenset[int] | None  # vertex ids; None past a target
 
 
 def _check_query(s, t, terminals):
@@ -76,8 +78,8 @@ class ElementNetwork:
         self._net.set_capacities(caps)
         self._capacities, self._scale = capacities, scale
 
-    def min_cut(self, s: int, t: int,
-                capacities: Mapping[int, Fraction]) -> ConnectivityQueryResult:
+    def min_cut(self, s: int, t: int, capacities: Mapping[int, Fraction],
+                target: int | None = None) -> ConnectivityQueryResult:
         """Minimum s-t cut when edge e has capacity capacities[e] in [0,1]
         (default 0) and every non-terminal vertex 1.
 
@@ -85,11 +87,21 @@ class ElementNetwork:
         for a different mapping object, so the caller must not change that
         mapping in place between queries. A cut of scaled value c is a cut
         of value c / L for the lcm L, and scaling keeps the minimum cut.
+
+        With a positive `target`, a minimum cut at or above it is not
+        computed: the flow stops once it reaches the target, and the
+        result holds that flow value (>= target, <= the minimum) and None
+        for both cut sets. Below the target the result is the one without
+        a target.
         """
         _check_query(s, t, self.terminals)
         if capacities is not self._capacities:
             self._load(capacities)
-        value, cut = self._net.max_flow(self._node[s], self._node[t])
+        scaled = None if target is None else target * self._scale
+        value, cut = self._net.max_flow(self._node[s], self._node[t], scaled)
+        if cut is None:
+            return ConnectivityQueryResult(
+                Fraction(value, self._scale), None, None)
         split = len(self._split)
         arcs = [aid // 2 for aid in cut]
         return ConnectivityQueryResult(
@@ -109,28 +121,33 @@ def vertex_connectivity_pair(
 def element_connectivity_pair(
     inst: Instance, terminals: frozenset[int], s: int, t: int,
     edge_ids: Iterable[int] | None = None,
+    network: ElementNetwork | None = None, target: int | None = None,
 ) -> ConnectivityQueryResult:
-    """Max element-disjoint s-t paths (elements: edges + non-terminals)."""
+    """Max element-disjoint s-t paths (elements: edges + non-terminals).
+
+    `network` and `target` work as in fractional_element_mincut."""
     ids = range(inst.m) if edge_ids is None else edge_ids
-    return ElementNetwork(inst, terminals).min_cut(
-        s, t, dict.fromkeys(ids, 1))
+    if network is None:
+        network = ElementNetwork(inst, terminals)
+    return network.min_cut(s, t, dict.fromkeys(ids, 1), target)
 
 
 def fractional_element_mincut(
     inst: Instance, terminals: frozenset[int], s: int, t: int,
     capacities: Mapping[int, Fraction],
-    network: ElementNetwork | None = None,
+    network: ElementNetwork | None = None, target: int | None = None,
 ) -> ConnectivityQueryResult:
     """Minimum mixed cut value under fractional edge capacities in [0,1].
 
     Edge e counts at capacities[e] (default 0), every non-terminal vertex
     at 1. Used as the separation oracle for the set-pair LP relaxation. A
     `network` built for the same inst and terminals is reused, under the
-    terms of ElementNetwork.min_cut.
+    terms of ElementNetwork.min_cut; a `target` stops the query there, as
+    ElementNetwork.min_cut says.
     """
     if network is None:
         network = ElementNetwork(inst, terminals)
-    return network.min_cut(s, t, capacities)
+    return network.min_cut(s, t, capacities, target)
 
 
 @dataclass(frozen=True)

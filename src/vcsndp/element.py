@@ -5,10 +5,12 @@ Two backends over the same instance type:
 * solve_iterative_rounding: cutting-plane LP over mixed (edge, non-terminal
   vertex) cuts with a max-flow separation oracle, then repeatedly buy the
   highest-valued edge. Emits a per-run certificate (LP lower bound, ratio,
-  deviation flag for any purchase below 1/2). The LPs go to the HiGHS core
-  that scipy bundles, as scipy.optimize.linprog(method="highs") would
-  pass them; this is the one module that imports that private package,
-  on the first LP solve.
+  deviation flag for any purchase below 1/2). One solve makes one HiGHS
+  solver and one element network and uses them for every LP, separation
+  round and integral check. The LPs go to the HiGHS core that scipy
+  bundles, as scipy.optimize.linprog(method="highs") would pass them;
+  this is the one module that imports that private package, on the first
+  LP solve.
 * solve_exact: branch and bound over edge subsets, feasibility judged by
   the flow-based element-connectivity verifier. Desk-scale oracle only;
   branch_and_bound also serves the exact VC-SNDP oracle.
@@ -35,6 +37,9 @@ from .instance import EdgeSolution, Instance, Pair
 SEPARATION_TOL = 1e-9
 HALF_TOL = 1e-7
 DEFAULT_NODE_BUDGET = 1 << 22
+# the most LP solves one solve_lp call makes; a loop that needs more raises
+# SolverError (the benchmark corpora and the tests need at most 49)
+MAX_CUT_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -75,15 +80,19 @@ def _sorted_pairs(ei: ElementInstance):
     return sorted(ei.active_pairs, key=sorted)
 
 
-def _serves(ei: ElementInstance, edge_ids: frozenset[int]) -> bool:
+def _serves(ei: ElementInstance, edge_ids: frozenset[int],
+            network: ElementNetwork) -> bool:
     """Whether `edge_ids` alone give every active pair its requirement in
-    element connectivity; checks the pairs in sorted order, stopping at
-    the first one short."""
-    return all(
-        element_connectivity_pair(
-            ei.inst, ei.terminals, *sorted(pr), edge_ids).value
-        >= ei.active_pairs[pr]
-        for pr in _sorted_pairs(ei))
+    element connectivity; checks the pairs in sorted order on `network`,
+    built for ei, stopping at the first one short. Each flow stops at the
+    pair's requirement."""
+    for pr in _sorted_pairs(ei):
+        r = ei.active_pairs[pr]
+        if element_connectivity_pair(
+                ei.inst, ei.terminals, *sorted(pr), edge_ids,
+                network=network, target=r).value < r:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +121,9 @@ def _highs() -> SimpleNamespace:
             highs.HighsModelStatus.kInfeasible: 2,
             highs.HighsModelStatus.kUnbounded: 3,
         },
+        # passModel's codes for a column-wise matrix and for minimising
+        colwise=int(highs.MatrixFormat.kColwise),
+        minimize=int(highs.ObjSense.kMinimize),
         # the options scipy.optimize.linprog(method="highs") sets, output
         # first so that nothing is logged
         options=(
@@ -132,14 +144,21 @@ class LpResult:
     message: str
 
 
+def _check_call(status, call: str) -> None:
+    """SolverError unless a HiGHS call returned kOk: after a rejected model
+    the solver keeps the last one, and run would report its solution."""
+    if status != _highs().core.HighsStatus.kOk:
+        raise SolverError(f"HiGHS {call} returned {status.name}")
+
+
 def lp_solver():
     """A HiGHS solver set up as scipy.optimize.linprog(method="highs") sets
     it up; use it from one thread only."""
     highs = _highs()
     solver = highs.core._Highs()
     for name, value in highs.options:
-        if solver.setOptionValue(name, value) != highs.core.HighsStatus.kOk:
-            raise SolverError(f"HiGHS rejected option {name}={value!r}")
+        _check_call(solver.setOptionValue(name, value),
+                    f"setOptionValue({name}={value!r})")
     return solver
 
 
@@ -151,35 +170,34 @@ def linprog(costs: np.ndarray, rows: list[list[int]], rhs: list[float],
     options that `scipy.optimize.linprog(costs, A_ub=-A, b_ub=-rhs,
     bounds=(0, 1), method="highs")` gives it, so x is bit-identical to
     linprog's; the wrapper's input cleaning, dense matrix and per-option
-    checks are skipped. `solver`, from lp_solver(), may be reused by the
+    checks are skipped, and the column-wise model goes over in one flat
+    passModel call. `solver`, from lp_solver(), may be reused by the
     thread that made it: passing a model clears what the last solve left.
+    Returns the linprog status, and x when it is optimal; a HiGHS call
+    that does not return kOk raises SolverError.
     """
     ncol, nrow = len(costs), len(rows)
     col_rows: list[list[int]] = [[] for _ in range(ncol)]
     for i, row in enumerate(rows):
         for j in row:
             col_rows[j].append(i)
-    start = [0]
+    start, nnz = [], 0
     for col in col_rows:
-        start.append(start[-1] + len(col))
+        start.append(nnz)
+        nnz += len(col)
     highs = _highs()
-    lp = highs.core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = ncol
-    lp.num_row_ = lp.a_matrix_.num_row_ = nrow
-    lp.a_matrix_.format_ = highs.core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.array(start, dtype=np.int32)
-    lp.a_matrix_.index_ = np.array(
-        [i for col in col_rows for i in col], dtype=np.int32)
-    lp.a_matrix_.value_ = np.full(start[-1], -1.0)
-    lp.col_cost_ = costs
-    lp.col_lower_ = np.zeros(ncol)
-    lp.col_upper_ = np.ones(ncol)
-    lp.row_lower_ = np.full(nrow, -highs.core.kHighsInf)
-    lp.row_upper_ = -np.array(rhs, dtype=float)
     if solver is None:
         solver = lp_solver()
-    solver.passModel(lp)
-    solver.run()
+    _check_call(solver.passModel(
+        ncol, nrow, nnz, highs.colwise, highs.minimize, 0.0,
+        costs, np.zeros(ncol), np.ones(ncol),
+        np.full(nrow, -highs.core.kHighsInf), -np.array(rhs, dtype=float),
+        np.array(start, dtype=np.int32),
+        np.array([i for col in col_rows for i in col], dtype=np.int32),
+        np.full(nnz, -1.0),
+        # every column continuous: an empty array makes passModel fail
+        np.zeros(ncol, dtype=np.int32)), "passModel")
+    _check_call(solver.run(), "run")
     model_status = solver.getModelStatus()
     status = highs.status.get(model_status, 4)
     x = (np.array(solver.getSolution().col_value)
@@ -193,27 +211,36 @@ class LpState:
     objective: float                      # cost of the fractional part
 
 
-def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
+def solve_lp(ei: ElementInstance, purchased: Iterable[int] = (),
+             solver=None, network: ElementNetwork | None = None) -> LpState:
     """Optimize the mixed-cut relaxation given already-purchased edges.
 
     Loop: separate every active pair with the fractional min-cut oracle at
     the current point, purchased edges at capacity 1; add each violated
     cut Sum_{e in F free} x_e >= r - |X| - |F purchased| and re-solve until
-    no cut is violated. A pair the full graph cannot serve ends in
-    InfeasibleError: its cut either has no free edge or makes the LP
-    infeasible. Any other LP failure raises SolverError.
+    no cut is violated. Each separation flow stops at the pair's
+    requirement, since only a cut below it is used. A pair the full graph
+    cannot serve ends in InfeasibleError: its cut either has no free edge
+    or makes the LP infeasible. Any other LP failure, or a loop still
+    finding violated cuts after MAX_CUT_ROUNDS LP solves, raises
+    SolverError. `solver` (from lp_solver()) and `network` (built for ei)
+    are made here when not given; the caller may pass its own to reuse
+    them across calls.
     """
     purchased = frozenset(purchased)
     free = [e for e in range(ei.inst.m) if e not in purchased]
     pos = {e: j for j, e in enumerate(free)}
     costs = np.array([float(ei.inst.edge_cost(e)) for e in free])
-    network = ElementNetwork(ei.inst, ei.terminals)
-    solver = lp_solver()
+    if network is None:
+        network = ElementNetwork(ei.inst, ei.terminals)
+    if solver is None:
+        solver = lp_solver()
 
     values = {e: 0.0 for e in free}
     rows: list[list[int]] = []
     rhs: list[float] = []
     seen_keys = set()
+    rounds = 0
 
     while True:
         exact = {x: Fraction(x).limit_denominator(10**12)
@@ -225,7 +252,7 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
             u, v = sorted(pr)
             r = ei.active_pairs[pr]
             res = fractional_element_mincut(
-                ei.inst, ei.terminals, u, v, caps, network=network)
+                ei.inst, ei.terminals, u, v, caps, network=network, target=r)
             if float(res.value) >= r - SEPARATION_TOL:
                 continue
             f_free = frozenset(res.cut_edges) - purchased
@@ -244,6 +271,10 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = ()) -> LpState:
             new_rows += 1
         if new_rows == 0:
             break
+        if rounds == MAX_CUT_ROUNDS:
+            raise SolverError(f"cutting-plane loop still finds violated "
+                              f"cuts after {MAX_CUT_ROUNDS} LP solves")
+        rounds += 1
         res = linprog(costs, rows, rhs, solver)
         if res.status == LP_INFEASIBLE:
             raise InfeasibleError(f"LP solve failed: {res.message}")
@@ -269,13 +300,16 @@ def solve_iterative_rounding(
 ) -> tuple[EdgeSolution, SolveCertificate]:
     """Iterative rounding: re-solve the LP, buy the max-value free edge,
     until purchased edges alone satisfy every active pair. A pair the full
-    graph cannot serve raises InfeasibleError from the first LP solve."""
+    graph cannot serve raises InfeasibleError from the first LP solve.
+    Every LP and check of the solve shares one solver and one network."""
+    network = ElementNetwork(ei.inst, ei.terminals)
+    solver = lp_solver()
     purchased: set[int] = set()
     log: list[tuple[int, float]] = []
     first_lp: float | None = None
 
-    while not _serves(ei, frozenset(purchased)):
-        lp = solve_lp(ei, purchased)
+    while not _serves(ei, frozenset(purchased), network):
+        lp = solve_lp(ei, purchased, solver, network)
         if first_lp is None:
             first_lp = lp.objective
         if not lp.values:
@@ -310,9 +344,11 @@ def solve_exact(ei: ElementInstance,
     """
     if not ei.active_pairs:
         return EdgeSolution.of(ei.inst, ())
-    if not _serves(ei, frozenset(range(ei.inst.m))):
+    network = ElementNetwork(ei.inst, ei.terminals)
+    if not _serves(ei, frozenset(range(ei.inst.m)), network):
         raise InfeasibleError("full edge set is not feasible")
-    return branch_and_bound(ei.inst, lambda ids: _serves(ei, ids), budget)
+    return branch_and_bound(
+        ei.inst, lambda ids: _serves(ei, ids, network), budget)
 
 
 def branch_and_bound(inst: Instance, feasible, budget: int) -> EdgeSolution:

@@ -22,7 +22,8 @@ class InfeasibleError(VcsndpError):
 
 
 class SolverError(VcsndpError):
-    """The LP solver stopped without an optimum or a proof of infeasibility."""
+    """The LP solver rejected a call or stopped without an optimum or a
+    proof of infeasibility, or a cutting-plane loop reached its cap."""
 
 
 class BudgetExceededError(VcsndpError):

@@ -101,13 +101,19 @@ class CapacitatedNetwork:
             caps[aid ^ 1] += pushed
         return pushed
 
-    def max_flow(self, s: int, t: int) -> tuple[Num, list[int]]:
+    def max_flow(self, s: int, t: int, target: Num | None = None
+                 ) -> tuple[Num, list[int] | None]:
         """Run Dinic from scratch; returns (value, min-cut arc ids).
 
         Cut arcs are forward arcs from the residual-reachable side of s to
         the unreachable side, i.e. a certified minimum s-t cut. That side is
         the same for every maximum flow, so the cut does not depend on the
         order in which paths are found.
+
+        With a positive `target`, the flow stops as soon as its value
+        reaches it and returns (a flow value >= target, None): that value
+        need not be the maximum, and no cut is computed. A maximum flow below the target
+        is found in full, with the same value and cut as without one.
         """
         if s == t:
             raise ValueError("source equals sink")
@@ -123,6 +129,8 @@ class CapacitatedNetwork:
                 if pushed <= 0:
                     break
                 value += pushed
+                if target is not None and value >= target:
+                    return value, None
         # residual reachability gives the cut
         seen = [False] * self._n
         seen[s] = True

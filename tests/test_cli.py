@@ -215,6 +215,32 @@ def test_solver_failure_exit_four(inst_file, tmp_path, monkeypatch):
     assert "c4.txt: ERROR SolverError: LP solve failed: Iteration" in out
 
 
+def test_rejected_model_exit_four(inst_file, monkeypatch):
+    # a reused solver that rejects a model still runs the last one it
+    # took; the rejection, not that stale optimum, decides the exit
+    from test_element import StubSolver
+    from vcsndp import element
+
+    status = element._highs().core.HighsStatus
+    monkeypatch.setattr(element, "lp_solver",
+                        lambda: StubSolver(status.kError, status.kOk))
+    code, _, err = invoke(["solve", str(inst_file), "--seed", "1"])
+    assert code == 4
+    assert "solver failure: HiGHS passModel returned kError" in err
+
+
+def test_cutting_plane_cap_exit_four(inst_file, monkeypatch):
+    # the 4-cycle's LP needs two cutting-plane rounds
+    from vcsndp import element
+
+    assert invoke(["solve", str(inst_file), "--seed", "1"])[0] == 0
+    monkeypatch.setattr(element, "MAX_CUT_ROUNDS", 1)
+    code, _, err = invoke(["solve", str(inst_file), "--seed", "1"])
+    assert code == 4
+    assert ("solver failure: cutting-plane loop still finds violated cuts "
+            "after 1 LP solves") in err
+
+
 def test_internal_error_exit_five(inst_file, tmp_path, monkeypatch):
     from vcsndp import cli, report
 
@@ -241,6 +267,18 @@ def test_isolated_vertices_take_no_memory(tmp_path, argv):
     proc = run_cli_capped([argv[0], path, *argv[1:]])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "cost 1" in proc.stdout
+
+
+def test_family_from_rejects_a_requirement_above_connectivity(tmp_path):
+    # k sizes the family, so an unmet k is refused before it can allocate,
+    # with the message `solve` gives
+    path = tmp_path / "inst.txt"
+    path.write_text("graph 3 2\nedge 0 1 1\nedge 1 2 1\nreq 0 1 99999999999\n")
+    message = ("infeasible: pair (0,1) requires 99999999999 vertex-disjoint "
+               "paths but the full graph only provides 1\n")
+    for argv in (["family", "--from", path, "--check"], ["solve", path]):
+        proc = run_cli_capped(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
 
 def test_solve_verify_long_path(tmp_path):

@@ -257,3 +257,36 @@ def test_long_path_connectivity():
     assert vertex_connectivity_pair(path, 999, 1000).value == 1
     for terminals in (frozenset({0, 1999}), frozenset({0, 1000, 1999})):
         assert element_connectivity_pair(path, terminals, 0, 1999).value == 1
+
+
+def test_min_cut_with_a_target_matches_the_full_run():
+    # lcm-scaled Fraction capacities: a target at or below the minimum cut
+    # value is reached, above it the value and the cut are the full run's
+    rng = random.Random(43)
+    for _ in range(25):
+        inst = random_graph(rng.randint(4, 8), 0.6, rng)
+        terminals = frozenset(
+            rng.sample(range(inst.n), rng.randint(2, min(5, inst.n))))
+        network = ElementNetwork(inst, terminals)
+        caps = {}
+        for e in range(inst.m):
+            den = rng.choice((1, 2, 3, 7, 10**12 - 11))
+            caps[e] = Fraction(rng.randint(0, den), den)
+        for s, t in itertools.combinations(sorted(terminals), 2):
+            full = network.min_cut(s, t, caps)
+            for target in range(int(full.value) + 3):
+                got = fractional_element_mincut(
+                    inst, terminals, s, t, caps, network=network,
+                    target=target)
+                if full.value >= target:
+                    assert full.value >= got.value >= target
+                else:
+                    assert got == full
+            full = element_connectivity_pair(inst, terminals, s, t)
+            for target in range(1, int(full.value) + 3):
+                got = element_connectivity_pair(
+                    inst, terminals, s, t, network=network, target=target)
+                if full.value >= target:
+                    assert full.value >= got.value >= target
+                else:
+                    assert got == full

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import scipy.optimize
 
 from conftest import random_graph, triangle
+from vcsndp import connectivity, element
 from vcsndp.connectivity import (
     PairReport,
     VerificationReport,
@@ -25,7 +27,7 @@ from vcsndp.element import (
     solve_iterative_rounding,
     solve_lp,
 )
-from vcsndp.errors import BudgetExceededError, InfeasibleError
+from vcsndp.errors import BudgetExceededError, InfeasibleError, SolverError
 from vcsndp.instance import Instance, derive_terminals, pair
 
 TOL = 1e-6
@@ -176,6 +178,69 @@ def test_linprog_matches_scipy_linprog():
             else:
                 assert np.array_equal(got.x, ref.x)
     assert statuses == {0, 2}
+
+
+class StubSolver:
+    """Returns the given HiGHS statuses and reports an optimum, as a reused
+    solver does after a rejected model: run solves the previous one."""
+
+    def __init__(self, pass_status, run_status):
+        self.pass_status, self.run_status = pass_status, run_status
+        self.runs = 0
+
+    def passModel(self, *args):
+        return self.pass_status
+
+    def run(self):
+        self.runs += 1
+        return self.run_status
+
+    def getModelStatus(self):
+        return element._highs().core.HighsModelStatus.kOptimal
+
+
+def test_linprog_raises_on_any_highs_call_not_ok():
+    status = element._highs().core.HighsStatus
+    for pass_status, run_status, runs in (
+            (status.kError, status.kOk, 0), (status.kWarning, status.kOk, 0),
+            (status.kOk, status.kError, 1), (status.kOk, status.kWarning, 1)):
+        stub = StubSolver(pass_status, run_status)
+        with pytest.raises(SolverError, match="HiGHS"):
+            linprog(np.array([1.0, 2.0]), [[0, 1]], [1.0], solver=stub)
+        assert stub.runs == runs
+
+
+def test_one_solver_and_one_network_per_element_solve(monkeypatch):
+    made = Counter()
+    real_solver, real_solve_lp = element.lp_solver, element.solve_lp
+
+    def counting_solver():
+        made["solvers"] += 1
+        return real_solver()
+
+    def counting_solve_lp(*args):
+        made["lp_solves"] += 1
+        return real_solve_lp(*args)
+
+    class CountingNetwork(connectivity.ElementNetwork):
+        def __init__(self, *args):
+            made["networks"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(element, "lp_solver", counting_solver)
+    monkeypatch.setattr(element, "solve_lp", counting_solve_lp)
+    for module in (element, connectivity):
+        monkeypatch.setattr(module, "ElementNetwork", CountingNetwork)
+    rng = random.Random(29)
+    lp_solves = 0
+    for _ in range(6):
+        ei = random_element_instance(rng)
+        made.clear()
+        _, cert = solve_iterative_rounding(ei)
+        assert made == {"solvers": 1, "networks": 1,
+                        "lp_solves": len(cert.rounding_log)}
+        lp_solves += made["lp_solves"]
+    assert lp_solves > 6  # some solves share the two across LPs
 
 
 def test_scipy_optimize_loads_on_first_lp():

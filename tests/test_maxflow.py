@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -79,3 +80,24 @@ def test_bad_arcs_rejected():
         net.add_arc(a, b, -1)
     with pytest.raises(ValueError):
         net.max_flow(a, a)
+
+
+def test_max_flow_with_a_target_matches_the_full_run():
+    # every target from 0 to past the maximum: at or below the maximum the
+    # early-exit run reaches the target, above it the run is the full one
+    rng = random.Random(23)
+    for _ in range(60):
+        nodes = rng.randint(2, 8)
+        arcs = [(u, v, rng.randint(0, 4))
+                for u in range(nodes) for v in range(nodes)
+                if u != v and rng.random() < 0.4]
+        net, ids = build(arcs, nodes)
+        s, t = rng.sample(ids, 2)
+        value, cut = net.max_flow(s, t)
+        for target in range(value + 3):
+            got, got_cut = net.max_flow(s, t, target)
+            if target <= value:
+                assert got >= target
+                assert got <= value
+            else:
+                assert (got, got_cut) == (value, cut)
