@@ -4,11 +4,11 @@ Subcommands: gen, solve, verify, family, exact, bench. `solve` and
 `bench` size the family by the terminal count tau; `--p/--q` give any
 other size.
 Exit codes: 0 success/feasible, 1 infeasible or not-good, 2 usage/input
-error (a malformed file, a bad cost among them), 3 search budget
-exceeded, 4 solver failure (the LP solver rejected a model or stopped
-without an optimum or a proof of infeasibility, or a cutting-plane loop
-reached its round cap), 5 internal error (any other exception, a fault
-in the toolkit).
+error (a malformed file, a bad cost or grid width among them), 3 search
+budget exceeded or a family sample over its memory budget, 4 solver
+failure (the LP solver rejected a model or stopped without an optimum or
+a proof of infeasibility, or a cutting-plane loop reached its round cap),
+5 internal error (any other exception, a fault in the toolkit).
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ Two backends over the same instance type:
   deviation flag for any purchase below 1/2). One solve makes one HiGHS
   solver and one element network and uses them for every LP, separation
   round and integral check. The LPs go to the HiGHS core that scipy
-  bundles, as scipy.optimize.linprog(method="highs") would pass them;
-  this is the one module that imports that private package, on the first
-  LP solve.
+  bundles, with the numbers and options scipy.optimize.linprog(
+  method="highs") would give it and the cut rows as built; an LP that
+  HiGHS proves infeasible raises InfeasibleError, and any other outcome
+  but an optimum raises SolverError. This is the one module that imports
+  that private package, on the first LP solve.
 * solve_exact: branch and bound over edge subsets, feasibility judged by
   the flow-based element-connectivity verifier. Desk-scale oracle only;
   branch_and_bound also serves the exact VC-SNDP oracle.
@@ -99,30 +101,18 @@ def _serves(ei: ElementInstance, edge_ids: frozenset[int],
 # LP relaxation by constraint generation
 # ---------------------------------------------------------------------------
 
-LP_OPTIMAL, LP_INFEASIBLE = 0, 2
-
-
 @cache
 def _highs() -> SimpleNamespace:
-    """The HiGHS core that scipy bundles (`core`), with linprog's status
-    codes (`status`) and options (`options`). Imported on first use:
-    loading scipy.optimize takes about 0.6 s and 50 MB, which the commands
-    that solve no LP should not pay."""
+    """The HiGHS core that scipy bundles (`core`), with the options
+    linprog sets (`options`). Imported on first use: loading
+    scipy.optimize takes about 0.6 s and 50 MB, which the commands that
+    solve no LP should not pay."""
     from scipy.optimize._highspy import _core as highs
 
     return SimpleNamespace(
         core=highs,
-        # scipy.optimize.linprog's status codes: 0 optimal, 1 iteration or
-        # time limit, 2 infeasible, 3 unbounded, 4 anything else
-        status={
-            highs.HighsModelStatus.kOptimal: 0,
-            highs.HighsModelStatus.kTimeLimit: 1,
-            highs.HighsModelStatus.kIterationLimit: 1,
-            highs.HighsModelStatus.kInfeasible: 2,
-            highs.HighsModelStatus.kUnbounded: 3,
-        },
-        # passModel's codes for a column-wise matrix and for minimising
-        colwise=int(highs.MatrixFormat.kColwise),
+        # passModel's codes for a row-wise matrix and for minimising
+        rowwise=int(highs.MatrixFormat.kRowwise),
         minimize=int(highs.ObjSense.kMinimize),
         # the options scipy.optimize.linprog(method="highs") sets, output
         # first so that nothing is logged
@@ -135,13 +125,6 @@ def _highs() -> SimpleNamespace:
             ("highs_debug_level",
              int(highs.HighsDebugLevel.kHighsDebugLevelNone)),
         ))
-
-
-@dataclass(frozen=True)
-class LpResult:
-    status: int                 # a scipy.optimize.linprog status code
-    x: np.ndarray | None        # set when status is LP_OPTIMAL
-    message: str
 
 
 def _check_call(status, call: str) -> None:
@@ -163,46 +146,42 @@ def lp_solver():
 
 
 def linprog(costs: np.ndarray, rows: list[list[int]], rhs: list[float],
-            solver=None) -> LpResult:
+            solver) -> np.ndarray:
     """min costs.x  s.t.  sum(x[j] for j in rows[i]) >= rhs[i],  0 <= x <= 1.
 
-    Solved by the HiGHS core that scipy bundles, given the model and the
-    options that `scipy.optimize.linprog(costs, A_ub=-A, b_ub=-rhs,
+    Solved by the HiGHS core that scipy bundles, given the options and the
+    numbers that `scipy.optimize.linprog(costs, A_ub=-A, b_ub=-rhs,
     bounds=(0, 1), method="highs")` gives it, so x is bit-identical to
-    linprog's; the wrapper's input cleaning, dense matrix and per-option
-    checks are skipped, and the column-wise model goes over in one flat
-    passModel call. `solver`, from lp_solver(), may be reused by the
-    thread that made it: passing a model clears what the last solve left.
-    Returns the linprog status, and x when it is optimal; a HiGHS call
-    that does not return kOk raises SolverError.
+    linprog's; the rows go over as built, row-wise, in one flat passModel
+    call. `solver`, from lp_solver(), may be reused by the thread that made
+    it: passing a model clears what the last solve left. Returns x when
+    HiGHS finds an optimum. Raises InfeasibleError when it proves the LP
+    infeasible, and SolverError on any other model status or when a HiGHS
+    call does not return kOk.
     """
     ncol, nrow = len(costs), len(rows)
-    col_rows: list[list[int]] = [[] for _ in range(ncol)]
-    for i, row in enumerate(rows):
-        for j in row:
-            col_rows[j].append(i)
     start, nnz = [], 0
-    for col in col_rows:
+    for row in rows:
         start.append(nnz)
-        nnz += len(col)
+        nnz += len(row)
     highs = _highs()
-    if solver is None:
-        solver = lp_solver()
     _check_call(solver.passModel(
-        ncol, nrow, nnz, highs.colwise, highs.minimize, 0.0,
+        ncol, nrow, nnz, highs.rowwise, highs.minimize, 0.0,
         costs, np.zeros(ncol), np.ones(ncol),
         np.full(nrow, -highs.core.kHighsInf), -np.array(rhs, dtype=float),
         np.array(start, dtype=np.int32),
-        np.array([i for col in col_rows for i in col], dtype=np.int32),
+        np.array([j for row in rows for j in row], dtype=np.int32),
         np.full(nnz, -1.0),
         # every column continuous: an empty array makes passModel fail
         np.zeros(ncol, dtype=np.int32)), "passModel")
     _check_call(solver.run(), "run")
-    model_status = solver.getModelStatus()
-    status = highs.status.get(model_status, 4)
-    x = (np.array(solver.getSolution().col_value)
-         if status == LP_OPTIMAL else None)
-    return LpResult(status, x, solver.modelStatusToString(model_status))
+    status = solver.getModelStatus()
+    if status == highs.core.HighsModelStatus.kOptimal:
+        return np.array(solver.getSolution().col_value)
+    message = f"LP solve failed: {solver.modelStatusToString(status)}"
+    if status == highs.core.HighsModelStatus.kInfeasible:
+        raise InfeasibleError(message)
+    raise SolverError(message)
 
 
 @dataclass
@@ -275,12 +254,8 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = (),
             raise SolverError(f"cutting-plane loop still finds violated "
                               f"cuts after {MAX_CUT_ROUNDS} LP solves")
         rounds += 1
-        res = linprog(costs, rows, rhs, solver)
-        if res.status == LP_INFEASIBLE:
-            raise InfeasibleError(f"LP solve failed: {res.message}")
-        if res.status != LP_OPTIMAL:
-            raise SolverError(f"LP solve failed: {res.message}")
-        values = {e: min(1.0, max(0.0, float(res.x[pos[e]]))) for e in free}
+        x = linprog(costs, rows, rhs, solver)
+        values = {e: min(1.0, max(0.0, float(x[pos[e]]))) for e in free}
 
     objective = float(np.dot(costs, [values[e] for e in free])) if free else 0.0
     return LpState(values=values, objective=objective)

@@ -12,7 +12,8 @@ A family is stored as one Python-int bitmask per terminal (bit i set iff
 the terminal drew index i); phi, the index sets, is built from the masks
 only for a dump or a test. Sampling takes its 32-bit words from the
 generator in bulk and packs the accepted values with numpy, giving the
-draws of a randrange loop exactly.
+draws of a randrange loop exactly. A sample larger than SAMPLE_BUDGET
+bytes is refused with BudgetExceededError before any draw.
 
 The covering check finds, for every subject in one numpy pass over arrays
 of 64-bit words, its shared indices, their count and its overlap with
@@ -187,35 +188,35 @@ def _bits(mask: int) -> list[int]:
 # is the top b bits of the next word, and getrandbits(32 * n) is the next n
 # words, the first in the lowest bits
 _WORD_BITS = 32
+# the most bytes one sample may take: tau * (p + 32 q) counts a byte for
+# each of the p flags of a terminal and about 32 for each of its q draws.
+# It keeps p below 2**28, so each draw fits in the top bits of one word.
+SAMPLE_BUDGET = 1 << 28
 
 
 def sample_family(terminals: Iterable[int], params: FamilyParams,
                   seed: int) -> TerminalFamily:
     """Each terminal, in increasing order, draws q indices uniformly from
     {1..p} with replacement: the values that q calls of
-    random.Random(seed).randrange(1, p + 1) would give."""
+    random.Random(seed).randrange(1, p + 1) would give.
+
+    randrange draws p.bit_length() bits and redraws while the value is
+    >= p. Here whole batches of words are drawn, the top p.bit_length()
+    bits of each kept and the values >= p dropped, which leaves the values
+    it accepts, in its order (tests pin the two together). Words drawn past
+    the last value needed are never seen; the generator is private. A
+    sample that would take more than SAMPLE_BUDGET bytes, counting tau as
+    at least 1, raises BudgetExceededError before any draw."""
     terms = sorted(set(terminals))
-    rng = random.Random(seed)
     p, q = params.p, params.q
-    draw = _scalar_masks if p.bit_length() > _WORD_BITS else _bulk_masks
-    return TerminalFamily(params=params, seed=seed,
-                          masks=draw(rng, terms, p, q))
-
-
-def _scalar_masks(rng: random.Random, terms: list[int], p: int,
-                  q: int) -> dict[int, int]:
-    """q draws of `_draw_indices` per terminal, in order."""
-    return {t: _mask_of(_draw_indices(rng.getrandbits, p, q)) for t in terms}
-
-
-def _bulk_masks(rng: random.Random, terms: list[int], p: int,
-                q: int) -> dict[int, int]:
-    """The draws of `_draw_indices`, q per terminal, from whole batches of
-    words: keeping the top p.bit_length() bits of each word and dropping
-    the values >= p leaves the values it accepts, in its order. Words drawn
-    past the last value needed are never seen; the generator is private."""
+    size = max(1, len(terms)) * (p + 32 * q)
+    if size > SAMPLE_BUDGET:
+        raise BudgetExceededError(
+            f"sampling {len(terms)} terminals at p={p}, q={q} needs "
+            f"~{size} bytes, over budget {SAMPLE_BUDGET}")
     if not terms:
-        return {}
+        return TerminalFamily(params=params, seed=seed, masks={})
+    rng = random.Random(seed)
     need = len(terms) * q
     bits = p.bit_length()
     batches, got = [], 0
@@ -228,26 +229,12 @@ def _bulk_masks(rng: random.Random, terms: list[int], p: int,
         batches.append(words[words < p])
         got += len(batches[-1])
     values = np.concatenate(batches)[:need]
-    width = (p >> 3) + 1
-    drawn = np.zeros((len(terms), 8 * width), dtype=bool)
+    drawn = np.zeros((len(terms), 8 * ((p >> 3) + 1)), dtype=bool)
     drawn[np.repeat(np.arange(len(terms)), q), values + 1] = True
     rows = np.packbits(drawn, axis=1, bitorder="little")
-    return {t: int.from_bytes(row.tobytes(), "little")
-            for t, row in zip(terms, rows)}
-
-
-def _draw_indices(getrandbits, p: int, q: int) -> frozenset[int]:
-    """q draws from {1..p}, each the value rng.randrange(1, p + 1) would
-    give: CPython draws p.bit_length() bits and redraws while the value is
-    >= p (tests pin the two sequences together)."""
-    bits = p.bit_length()
-    out = set()
-    for _ in range(q):
-        r = getrandbits(bits)
-        while r >= p:
-            r = getrandbits(bits)
-        out.add(r + 1)
-    return frozenset(out)
+    return TerminalFamily(params=params, seed=seed, masks={
+        t: int.from_bytes(row.tobytes(), "little")
+        for t, row in zip(terms, rows)})
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ def _model_edges(model: str, n: int, edge_param: float | None,
         return [(u, v) for u in range(n) for v in range(u + 1, n)
                 if rng.random() < p]
     if model == "grid":
+        if edge_param and not 1 <= edge_param < math.inf:
+            raise ValueError(f"grid width {edge_param} is not a finite "
+                             f"number >= 1")
         width = int(edge_param) if edge_param else max(2, math.isqrt(n))
         out = []
         for w in range(n):
@@ -46,6 +49,16 @@ def _model_edges(model: str, n: int, edge_param: float | None,
     raise ValueError(f"unknown model '{model}', expected one of {MODELS}")
 
 
+def _pair_at(i: int, n: int) -> tuple[int, int]:
+    """The i-th pair (u, v), u < v < n, in row-major order."""
+    # counted back from the last pair, the last j rows hold positions 0 to
+    # j(j+1)/2 - 1; the largest j within `back` leaves the pair in row
+    # n-2-j, the row just before them
+    back = n * (n - 1) // 2 - 1 - i
+    j = (math.isqrt(8 * back + 1) - 1) // 2
+    return n - 2 - j, n - 1 - (back - j * (j + 1) // 2)
+
+
 def generate_instance(
     model: str, n: int, edge_param: float | None, k: int,
     num_pairs: int, cost_range: tuple[int, int], seed: int,
@@ -64,9 +77,11 @@ def generate_instance(
     edges = tuple((u, v, Fraction(rng.randint(lo, hi))) for u, v in raw)
     graph = Instance(n=n, edges=edges)
 
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = rng.sample(all_pairs, min(num_pairs, len(all_pairs)))
-    wanted = [(u, v, rng.randint(1, k)) for u, v in chosen]
+    # the same draws as sampling the list of all pairs in row-major order,
+    # without listing them
+    count = n * (n - 1) // 2
+    chosen = rng.sample(range(count), min(num_pairs, count))
+    wanted = [(*_pair_at(i, n), rng.randint(1, k)) for i in chosen]
 
     requirements = {}
     for u, v, r in wanted:

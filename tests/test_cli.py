@@ -3,11 +3,14 @@ import json
 import re
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli_capped
 from vcsndp import family as fam
+from vcsndp.generate import MODELS
 from vcsndp.cli import _build_parser, run
 from vcsndp.instance import write_instance
 
@@ -197,12 +200,14 @@ def test_family_from_takes_k_from_the_instance(tmp_path):
 
 
 def test_solver_failure_exit_four(inst_file, tmp_path, monkeypatch):
+    # an LP that stops at HiGHS's iteration limit
+    from test_element import StubSolver
     from vcsndp import element
 
-    def stopped(*args, **kwargs):
-        return element.LpResult(1, None, "Iteration limit reached")
-
-    monkeypatch.setattr(element, "linprog", stopped)
+    core = element._highs().core
+    monkeypatch.setattr(element, "lp_solver", lambda: StubSolver(
+        core.HighsStatus.kOk, core.HighsStatus.kOk,
+        core.HighsModelStatus.kIterationLimit))
     code, _, err = invoke(["solve", str(inst_file), "--seed", "1"])
     assert code == 4
     assert "solver failure: LP solve failed: Iteration limit reached" in err
@@ -375,6 +380,105 @@ def test_family_check_over_budget_exit_three():
                            "--check"])
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["family", "--terminals", "200", "--k", "40"],
+    ["family", "--terminals", "2", "--k", "1", "--p", "4000000000", "--q",
+     "1", "--unsafe-params"],
+    ["family", "--terminals", "3", "--k", "1", "--p", "2", "--q",
+     "100000000000", "--unsafe-params"],
+    ["solve", FEASIBLE, "--p", "4000000000", "--q", "1", "--unsafe-params"],
+])
+def test_family_sample_over_budget_exit_three(args, tmp_path):
+    # refused before the draw: each of these samples would take GiBs
+    if args[0] == "solve":
+        args[1] = tmp_path / "inst.txt"
+        args[1].write_text(FEASIBLE)
+    proc = run_cli_capped(args)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("budget exceeded: sampling ")
+
+
+@pytest.mark.parametrize("model", ["wheel", "grid"])
+def test_gen_samples_pairs_without_listing_them(model):
+    # all n(n-1)/2 pairs of 20000 vertices would not fit the cap
+    proc = run_cli_capped(["gen", "--model", model, "--n", "20000", "--k",
+                           "2", "--pairs", "3", "--seed", "1"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("graph 20000 ")
+    assert proc.stdout.count("\nreq ") == 3
+
+
+@pytest.mark.parametrize("width", ["0.5", "-3", "nan", "inf"])
+def test_gen_grid_width_below_one_exit_two(width):
+    code, out, err = invoke(["gen", "--model", "grid", "--n", "9",
+                             "--edge-param", width, "--k", "2", "--pairs",
+                             "3", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert f"grid width {float(width)} " in err
+
+
+# a sample larger than this runs in a child under the address-space cap
+IN_PROCESS_SAMPLE_BYTES = 1 << 24
+
+
+class _NeedsCap(BaseException):
+    """Passes through cli.run's handlers: the sample must be drawn in a
+    capped child."""
+
+
+def _sample_in_process_if_small(real):
+    def sample(terminals, params, seed):
+        terminals = list(terminals)
+        size = max(1, len(terminals)) * (params.p + 32 * params.q)
+        if IN_PROCESS_SAMPLE_BYTES < size <= fam.SAMPLE_BUDGET:
+            raise _NeedsCap
+        return real(terminals, params, seed)
+    return sample
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+_PQ = st.integers(1, 10**4) | st.integers(1, 10**12)
+_GEN_ARGS = st.tuples(
+    st.sampled_from(MODELS).map(lambda m: ["gen", "--model", m]),
+    st.integers(1, 40).map(lambda n: ["--n", str(n)]),
+    _optional("--edge-param", st.floats(-2, 50) | st.sampled_from(
+        [0.0, 0.5, float("nan"), float("inf")])),
+    st.integers(1, 4).map(lambda k: ["--k", str(k)]),
+    st.integers(0, 12).map(lambda n: ["--pairs", str(n)]),
+    st.integers(0, 2**32).map(lambda s: ["--seed", str(s)]),
+)
+_FAMILY_ARGS = st.tuples(
+    st.integers(1, 30).map(lambda t: ["family", "--terminals", str(t)]),
+    st.integers(1, 4).map(lambda k: ["--k", str(k)]),
+    st.sampled_from(fam.MODES).map(lambda m: ["--mode", m]),
+    st.one_of(st.just([]), st.tuples(_PQ, _PQ).map(
+        lambda pq: ["--p", str(pq[0]), "--q", str(pq[1]),
+                    "--unsafe-params"])),
+    st.sampled_from([[], ["--check"]]),
+    st.integers(0, 2**32).map(lambda s: ["--seed", str(s)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_GEN_ARGS, _FAMILY_ARGS).map(
+    lambda parts: [a for part in parts for a in part]))
+def test_gen_and_family_never_exit_five(argv):
+    # small argument lists, p and q up to 10^12: every input is either
+    # served, refused as input or refused by a budget
+    real = fam.sample_family
+    try:
+        with mock.patch.object(fam, "sample_family",
+                               _sample_in_process_if_small(real)):
+            code, _, err = invoke(argv)
+    except _NeedsCap:
+        proc = run_cli_capped(argv)
+        code, err = proc.returncode, proc.stderr
+    assert code in (0, 1, 2, 3), (argv, err)
 
 
 def test_family_p_without_q_rejected():

@@ -147,8 +147,9 @@ def test_lp_infeasible_pair_raises():
 
 def test_linprog_matches_scipy_linprog():
     # element.linprog drives scipy's private HiGHS core: it must keep the
-    # status and the exact x of scipy's public linprog on covering LPs
-    # shaped like the cutting-plane LPs, with a fresh or a reused solver
+    # exact x of scipy's public linprog on covering LPs shaped like the
+    # cutting-plane LPs, and raise InfeasibleError where scipy reports
+    # status 2, with a fresh or a reused solver
     rng = random.Random(2008)
     cases = [([1.0, 2.0], [[0]], [2.0])]  # x0 <= 1 cannot reach 2
     for _ in range(240):
@@ -170,22 +171,27 @@ def test_linprog_matches_scipy_linprog():
             costs, A_ub=-dense, b_ub=-np.array(rhs), bounds=(0, 1),
             method="highs")
         statuses.add(ref.status)
-        for got in (linprog(np.array(costs), rows, rhs),
-                    linprog(np.array(costs), rows, rhs, solver)):
-            assert got.status == ref.status
-            if ref.x is None:
-                assert got.x is None
+        for reused in (lp_solver(), solver):
+            if ref.status == 2:
+                with pytest.raises(InfeasibleError,
+                                   match="^LP solve failed: Infeasible$"):
+                    linprog(np.array(costs), rows, rhs, reused)
             else:
-                assert np.array_equal(got.x, ref.x)
+                assert np.array_equal(
+                    linprog(np.array(costs), rows, rhs, reused), ref.x)
     assert statuses == {0, 2}
 
 
 class StubSolver:
-    """Returns the given HiGHS statuses and reports an optimum, as a reused
-    solver does after a rejected model: run solves the previous one."""
+    """Returns the given HiGHS call statuses and model status; with the
+    default kOptimal it reports an optimum, as a reused solver does after a
+    rejected model: run solves the previous one."""
 
-    def __init__(self, pass_status, run_status):
+    def __init__(self, pass_status, run_status, model_status=None):
+        core = element._highs().core
         self.pass_status, self.run_status = pass_status, run_status
+        self.model_status = (core.HighsModelStatus.kOptimal
+                             if model_status is None else model_status)
         self.runs = 0
 
     def passModel(self, *args):
@@ -196,7 +202,10 @@ class StubSolver:
         return self.run_status
 
     def getModelStatus(self):
-        return element._highs().core.HighsModelStatus.kOptimal
+        return self.model_status
+
+    def modelStatusToString(self, status):
+        return element._highs().core._Highs().modelStatusToString(status)
 
 
 def test_linprog_raises_on_any_highs_call_not_ok():
@@ -208,6 +217,21 @@ def test_linprog_raises_on_any_highs_call_not_ok():
         with pytest.raises(SolverError, match="HiGHS"):
             linprog(np.array([1.0, 2.0]), [[0, 1]], [1.0], solver=stub)
         assert stub.runs == runs
+
+
+@pytest.mark.parametrize("model_status, error, message", [
+    ("kInfeasible", InfeasibleError, "Infeasible"),
+    ("kIterationLimit", SolverError, "Iteration limit reached"),
+    ("kTimeLimit", SolverError, "Time limit reached"),
+    ("kUnbounded", SolverError, "Unbounded"),
+])
+def test_linprog_raises_on_a_model_status_not_optimal(model_status, error,
+                                                      message):
+    core = element._highs().core
+    stub = StubSolver(core.HighsStatus.kOk, core.HighsStatus.kOk,
+                      getattr(core.HighsModelStatus, model_status))
+    with pytest.raises(error, match=f"^LP solve failed: {message}$"):
+        linprog(np.array([1.0, 2.0]), [[0, 1]], [1.0], stub)
 
 
 def test_one_solver_and_one_network_per_element_solve(monkeypatch):

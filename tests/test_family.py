@@ -305,13 +305,17 @@ DRAW_WIDTHS = [1, 2, 3, 7, 8, 9, 1024, 1025, 8592]
 @pytest.mark.parametrize("p", [*DRAW_WIDTHS, 2**32 + 5])
 def test_index_draws_follow_randrange(p):
     # sample_family draws with getrandbits the values rng.randrange(1, p+1)
-    # gives; an interpreter that changes randrange fails here
+    # gives; an interpreter that changes randrange fails here. A p past
+    # the sampling budget is refused before any draw: one mask at
+    # p = 2**32 + 5 would take 512 MiB
+    params = fam.override_params(1, 4, fam.GENERAL, p, 30, unsafe=True)
+    if p > fam.SAMPLE_BUDGET:
+        with pytest.raises(BudgetExceededError, match="over budget"):
+            fam.sample_family([0], params, 0)
+        return
     for seed in range(100):
-        ours, theirs = random.Random(seed), random.Random(seed)
-        for _ in range(30):
-            assert (fam._draw_indices(ours.getrandbits, p, 1)
-                    == {theirs.randrange(1, p + 1)})
-        assert ours.getstate() == theirs.getstate()
+        assert (fam.sample_family([0], params, seed).phi
+                == randrange_phi([0], p, 30, seed))
 
 
 def randrange_phi(terms, p, q, seed):
@@ -321,10 +325,7 @@ def randrange_phi(terms, p, q, seed):
 
 
 def test_sample_family_matches_randrange_reference():
-    # the bulk draw and the one-at-a-time loop that sample_family keeps
-    # for p wider than 32 bits both give randrange's values; a whole
-    # family at p = 2**32 + 5 is not drawn here, since each of its masks
-    # would take 512 MiB
+    # the bulk draw gives randrange's values, terminal by terminal
     for p, terms, q in product(
             DRAW_WIDTHS, ([], [0, 1, 2, 3, 4], [9, 2, 40, 7], range(12)),
             (1, 5, 40)):
@@ -332,14 +333,30 @@ def test_sample_family_matches_randrange_reference():
             want = randrange_phi(terms, p, q, seed)
             params = fam.override_params(1, 4, fam.GENERAL, p, q, unsafe=True)
             assert fam.sample_family(terms, params, seed).phi == want
-            masks = fam._scalar_masks(random.Random(seed), sorted(terms), p, q)
-            assert masks == fam.TerminalFamily.from_phi(
-                params, seed, want).masks
     for k, tau, mode in ((3, 12, fam.GENERAL), (2, 6, fam.SINGLE_SOURCE)):
         params = fam.default_params(k, tau, mode)
         for seed in range(5):
             assert (fam.sample_family(range(tau), params, seed).phi
                     == randrange_phi(range(tau), params.p, params.q, seed))
+
+
+def test_sample_family_refuses_a_sample_over_budget():
+    # tau * (p + 32 q) bytes, tau counted as at least 1; the samples at
+    # the budget have no terminal, so they allocate nothing
+    budget = fam.SAMPLE_BUDGET
+
+    def sample(terms, p, q):
+        params = fam.override_params(1, 4, fam.GENERAL, p, q, unsafe=True)
+        return fam.sample_family(terms, params, 0)
+
+    for p, q in ((budget - 32, 1), (64, budget // 32 - 2)):
+        assert sample([], p, q).masks == {}
+        with pytest.raises(BudgetExceededError, match="over budget"):
+            sample([], p + 1, q)
+    for terms, p, q in (([0, 1], budget // 2 - 31, 1),
+                        ([0, 1, 2, 3], 64, budget // 128 - 1)):
+        with pytest.raises(BudgetExceededError, match="over budget"):
+            sample(terms, p, q)
 
 
 def test_masks_and_phi_round_trip():

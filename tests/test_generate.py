@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from vcsndp.connectivity import vertex_connectivity_pair
 from vcsndp.errors import GenerationError
-from vcsndp.generate import generate_instance
+from vcsndp.generate import _pair_at, generate_instance
 from vcsndp.instance import Instance
 
 
@@ -63,3 +65,19 @@ def test_argument_validation():
         generate_instance("nonesuch", 4, 0.5, 1, 1, (1, 2), seed=0)
     with pytest.raises(ValueError):
         generate_instance("erdos-renyi", 4, 0.5, 1, 1, (5, 2), seed=0)
+
+
+def test_pairs_drawn_as_from_the_list_of_all_pairs():
+    # generate_instance samples pair indices and maps each back to its
+    # pair; sampling the listed pairs is the reference, draws and state
+    for n in range(2, 41):
+        listed = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert [_pair_at(i, n) for i in range(len(listed))] == listed
+        for seed in range(5):
+            for count in (1, 3, 7, 1000):
+                ours, ref = random.Random(seed), random.Random(seed)
+                k = min(count, len(listed))
+                assert ([_pair_at(i, n)
+                         for i in ours.sample(range(len(listed)), k)]
+                        == ref.sample(listed, k))
+                assert ours.getstate() == ref.getstate()
