@@ -249,13 +249,16 @@ def _cmd_family(args, out) -> int:
         k = args.k
         if args.terminals < 1:
             raise ValueError("--terminals must be >= 1")
-        terminals = list(range(args.terminals))
-        tau = len(terminals)
-        # lazy: only a general-mode --check reads the pairs
-        pairs = map(frozenset, combinations(terminals, 2))
+        tau = args.terminals
     basis = args.basis if args.basis is not None else max(2, tau)
     params = fam.resolve_params(k, basis, args.mode,
                                 _params_override(args), args.unsafe_params)
+    if args.from_instance is None:
+        # the sample's budget bounds tau before the terminals are listed
+        fam.check_sample_budget(tau, params)
+        terminals = list(range(tau))
+        # lazy: only a general-mode --check reads the pairs
+        pairs = map(frozenset, combinations(terminals, 2))
     family = fam.sample_family(terminals, params, args.seed)
     out.write(f"mode {params.mode} k {params.k} basis {params.basis} "
               f"p {params.p} q {params.q}\n")

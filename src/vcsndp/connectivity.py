@@ -10,8 +10,8 @@ edge and no vertex but s and t. Only the terminals and the vertices on an
 edge get nodes, so isolated vertices cost nothing. Capacities in [0,1] are
 scaled by the lcm of their denominators, so Dinic runs on exact ints. An
 element solve builds one network and reloads it for each separation round
-and each integral check. A query that only asks whether the value reaches
-a target stops its flow there.
+and once for each integral check. A query that only asks whether the value
+reaches a target stops its flow there.
 """
 
 from __future__ import annotations
@@ -64,6 +64,16 @@ class ElementNetwork:
         self._node = node_in
         self._capacities: Mapping[int, Fraction] | None = None
         self._scale = 1
+        self._unit_ids: frozenset[int] | None = None
+        self._units: Mapping[int, int] = {}
+
+    def units(self, edge_ids: frozenset[int]) -> Mapping[int, int]:
+        """Capacity 1 on each edge of `edge_ids`: the mapping last returned
+        while edge_ids equals the last set asked for, so that integral
+        queries on one edge set load it once."""
+        if edge_ids != self._unit_ids:
+            self._unit_ids, self._units = edge_ids, dict.fromkeys(edge_ids, 1)
+        return self._units
 
     def _load(self, capacities: Mapping[int, Fraction]) -> None:
         ratios = [capacities.get(eid, 0).as_integer_ratio()
@@ -125,11 +135,12 @@ def element_connectivity_pair(
 ) -> ConnectivityQueryResult:
     """Max element-disjoint s-t paths (elements: edges + non-terminals).
 
-    `network` and `target` work as in fractional_element_mincut."""
-    ids = range(inst.m) if edge_ids is None else edge_ids
+    `network` and `target` work as in fractional_element_mincut; queries
+    on one network with equal edge sets load the capacities once."""
+    ids = frozenset(range(inst.m) if edge_ids is None else edge_ids)
     if network is None:
         network = ElementNetwork(inst, terminals)
-    return network.min_cut(s, t, dict.fromkeys(ids, 1), target)
+    return network.min_cut(s, t, network.units(ids), target)
 
 
 def fractional_element_mincut(

@@ -194,6 +194,18 @@ _WORD_BITS = 32
 SAMPLE_BUDGET = 1 << 28
 
 
+def check_sample_budget(n_terminals: int, params: FamilyParams) -> None:
+    """BudgetExceededError when a sample over n_terminals terminals at
+    params would take more than SAMPLE_BUDGET bytes, counting tau as at
+    least 1."""
+    p, q = params.p, params.q
+    size = max(1, n_terminals) * (p + 32 * q)
+    if size > SAMPLE_BUDGET:
+        raise BudgetExceededError(
+            f"sampling {n_terminals} terminals at p={p}, q={q} needs "
+            f"~{size} bytes, over budget {SAMPLE_BUDGET}")
+
+
 def sample_family(terminals: Iterable[int], params: FamilyParams,
                   seed: int) -> TerminalFamily:
     """Each terminal, in increasing order, draws q indices uniformly from
@@ -205,15 +217,11 @@ def sample_family(terminals: Iterable[int], params: FamilyParams,
     bits of each kept and the values >= p dropped, which leaves the values
     it accepts, in its order (tests pin the two together). Words drawn past
     the last value needed are never seen; the generator is private. A
-    sample that would take more than SAMPLE_BUDGET bytes, counting tau as
-    at least 1, raises BudgetExceededError before any draw."""
+    sample over budget (check_sample_budget) raises BudgetExceededError
+    before any draw."""
     terms = sorted(set(terminals))
+    check_sample_budget(len(terms), params)
     p, q = params.p, params.q
-    size = max(1, len(terms)) * (p + 32 * q)
-    if size > SAMPLE_BUDGET:
-        raise BudgetExceededError(
-            f"sampling {len(terms)} terminals at p={p}, q={q} needs "
-            f"~{size} bytes, over budget {SAMPLE_BUDGET}")
     if not terms:
         return TerminalFamily(params=params, seed=seed, masks={})
     rng = random.Random(seed)

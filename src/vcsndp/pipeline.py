@@ -76,7 +76,9 @@ class PipelineResult:
     solution: EdgeSolution
     family: fam.TerminalFamily
     records: tuple[InstanceRecord, ...]
-    subset_classes: dict[int, int]     # subset index -> record position, -1 skip
+    # subset index -> record position; an index not in it is skipped (its
+    # T_i holds no requirement pair)
+    subset_classes: dict[int, int]
     verification: VerificationReport | None
     cost_bound: Fraction | None        # 2 * p * (best OPT lower bound)
     resamples_used: int
@@ -181,7 +183,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
         solved = [_solve_backend(ei, cfg) for ei in instances]
 
     records = []
-    subset_classes = {i: -1 for i in range(1, params.p + 1)}
+    subset_classes: dict[int, int] = {}
     union: set[int] = set()
     for slot, (key, ei, (sol, cert)) in enumerate(
             zip(keys, instances, solved)):

@@ -43,17 +43,28 @@ def rng():
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli_capped(args, limit=1 << 30, timeout=120):
-    """Run the vcsndp CLI on `args` in a child process whose address space
-    RLIMIT_AS caps at `limit` bytes; the limit binds the child only. For
-    inputs that could allocate without bound: past the cap the child fails
-    instead of the machine. Returns the CompletedProcess, text captured."""
+def _run_python(argv, limit, timeout):
+    """Run `python *argv` with src on PYTHONPATH in a child process whose
+    address space RLIMIT_AS caps at `limit` bytes; the limit binds the
+    child only. Returns the CompletedProcess, text captured."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     path = os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "vcsndp.cli", *map(str, args)],
-        preexec_fn=cap, capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path})
+        [sys.executable, *argv], preexec_fn=cap, capture_output=True,
+        text=True, timeout=timeout, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli_capped(args, limit=1 << 30, timeout=120):
+    """Run the vcsndp CLI on `args` in a capped child (see _run_python).
+    For inputs that could allocate without bound: past the cap the child
+    fails instead of the machine."""
+    return _run_python(["-m", "vcsndp.cli", *map(str, args)], limit, timeout)
+
+
+def run_python_child(code, limit=1 << 30, timeout=120):
+    """Run the Python source `code` in a capped child (see _run_python),
+    with a fresh sys.modules."""
+    return _run_python(["-c", code], limit, timeout)

@@ -400,6 +400,23 @@ def test_family_sample_over_budget_exit_three(args, tmp_path):
     assert proc.stderr.startswith("budget exceeded: sampling ")
 
 
+def test_solve_with_a_huge_p_keeps_only_the_classed_indices(tmp_path):
+    # the sample fits its budget; a map over all 10**8 indices would not
+    # fit the cap
+    path = tmp_path / "inst.txt"
+    path.write_text(FEASIBLE)
+    proc = run_cli_capped(["solve", path, "--p", "100000000", "--q", "1",
+                           "--unsafe-params"])
+    assert proc.returncode in (0, 3), proc.stderr
+
+
+def test_family_terminal_count_bounded_before_listing():
+    proc = run_cli_capped(["family", "--terminals", "1000000000", "--k", "1",
+                           "--p", "2", "--q", "1", "--unsafe-params"])
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("budget exceeded: sampling 1000000000 ")
+
+
 @pytest.mark.parametrize("model", ["wheel", "grid"])
 def test_gen_samples_pairs_without_listing_them(model):
     # all n(n-1)/2 pairs of 20000 vertices would not fit the cap

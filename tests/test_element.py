@@ -1,16 +1,12 @@
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import random_graph, triangle
+from conftest import random_graph, run_python_child, triangle
 from vcsndp import connectivity, element
 from vcsndp.connectivity import (
     PairReport,
@@ -28,7 +24,8 @@ from vcsndp.element import (
     solve_lp,
 )
 from vcsndp.errors import BudgetExceededError, InfeasibleError, SolverError
-from vcsndp.instance import Instance, derive_terminals, pair
+from vcsndp.generate import generate_instance
+from vcsndp.instance import Instance, derive_terminals, pair, write_instance
 
 TOL = 1e-6
 
@@ -269,14 +266,131 @@ def test_one_solver_and_one_network_per_element_solve(monkeypatch):
 
 def test_scipy_optimize_loads_on_first_lp():
     # importing the toolkit leaves scipy.optimize (0.5-0.7 s, ~50 MB) out
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     code = ("import sys, vcsndp, vcsndp.cli; "
             "print('scipy.optimize' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120, check=True)
+    proc = run_python_child(code)
     assert proc.stdout == "False\n"
+
+
+SOLVE_WITHOUT_SCIPY_OPTIMIZE = """
+import io, random, sys
+import numpy as np
+from vcsndp import cli, element
+
+out = io.StringIO()
+assert cli.run(["solve", {path!r}, "--single-source", "off", "--verify",
+                "--verify-family", "--jobs", "2"], out=out) == 0, out
+assert "cost " in out.getvalue()
+assert "scipy.optimize._highspy._core" in sys.modules
+assert "scipy.optimize" not in sys.modules
+core = element._highs().core
+
+import scipy.optimize
+from scipy.optimize._highspy import _core
+assert _core is core is sys.modules["scipy.optimize._highspy._core"]
+rng = random.Random(7)
+solver = element.lp_solver()
+for _ in range(20):
+    ncol = rng.randint(3, 20)
+    costs = np.array([float(rng.randint(1, 9)) for _ in range(ncol)])
+    rows = [rng.sample(range(ncol), rng.randint(1, ncol))
+            for _ in range(rng.randint(1, 20))]
+    rhs = [float(rng.randint(1, min(3, len(row)))) for row in rows]
+    dense = np.zeros((len(rows), ncol))
+    for i, row in enumerate(rows):
+        dense[i, row] = 1.0
+    ref = scipy.optimize.linprog(costs, A_ub=-dense, b_ub=-np.array(rhs),
+                                 bounds=(0, 1), method="highs")
+    assert np.array_equal(element.linprog(costs, rows, rhs, solver), ref.x)
+print("ok")
+"""
+
+
+def test_solve_loads_the_highs_core_without_scipy_optimize(tmp_path):
+    # a full solve loads the core by path and never scipy.optimize; an
+    # import of scipy.optimize afterwards finds the same core, and linprog
+    # keeps scipy's x. This process imported scipy.optimize first, so the
+    # other tests cover the other order.
+    path = tmp_path / "inst.txt"
+    path.write_text(write_instance(
+        generate_instance("erdos-renyi", 8, 0.6, 2, 3, (1, 9), seed=4)))
+    proc = run_python_child(SOLVE_WITHOUT_SCIPY_OPTIMIZE.format(
+        path=str(path)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+CONCURRENT_FIRST_LOAD = """
+import sys, threading
+from vcsndp import element
+
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(16, timeout=30)
+cores = []
+
+def load():
+    barrier.wait()
+    cores.append(element._highs().core)
+
+threads = [threading.Thread(target=load) for _ in range(16)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(30)
+assert not any(thread.is_alive() for thread in threads)
+core = sys.modules["scipy.optimize._highspy._core"]
+assert len(cores) == 16 and all(c is core for c in cores), len(cores)
+print("ok")
+"""
+
+
+def test_first_load_from_many_threads_gives_one_core():
+    # the --jobs pool can reach the first load from several threads; one
+    # that saw the core half loaded would fail on its first attribute.
+    # Each thread may reserve a 64 MiB malloc arena, hence the wider cap.
+    proc = run_python_child(CONCURRENT_FIRST_LOAD, limit=4 << 30, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def test_serves_loads_the_unit_capacities_once(monkeypatch):
+    # the pairs of one integral check share one load; the element.check
+    # hook still sees each pair checked, and the verdict is unchanged
+    calls = Counter()
+    real_load = connectivity.ElementNetwork._load
+    real_pair = element.element_connectivity_pair
+
+    def counting_load(self, capacities):
+        calls["loads"] += 1
+        real_load(self, capacities)
+
+    def counting_pair(*args, **kwargs):
+        calls["checks"] += 1
+        return real_pair(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity.ElementNetwork, "_load", counting_load)
+    monkeypatch.setattr(element, "element_connectivity_pair", counting_pair)
+    rng = random.Random(31)
+    checks = 0
+    for _ in range(12):
+        ei = random_element_instance(rng, want_pairs=4)
+        pairs = sorted(ei.active_pairs, key=sorted)
+        network = connectivity.ElementNetwork(ei.inst, ei.terminals)
+        for edges in (frozenset(range(ei.inst.m)),
+                      frozenset(e for e in range(ei.inst.m)
+                                if rng.random() < 0.7)):
+            # a fractional load between checks, as a separation round does
+            fractional_element_mincut(
+                ei.inst, ei.terminals, *sorted(pairs[0]),
+                {e: Fraction(1, 2) for e in edges}, network=network)
+            short = [real_pair(ei.inst, ei.terminals, *sorted(pr),
+                               edges).value < ei.active_pairs[pr]
+                     for pr in pairs]
+            calls.clear()
+            served = element._serves(ei, edges, network)
+            assert served == (True not in short)
+            checked = short.index(True) + 1 if True in short else len(short)
+            assert calls == {"loads": 1, "checks": checked}
+            checks += checked
+    assert checks > 24  # most checks cover more than one pair
 
 
 def test_lp_separation_soundness():

@@ -169,9 +169,10 @@ def test_skipped_subsets_have_no_active_pairs():
                                                   verify_family=True))
         pinned = {res.source} - {None}
         subsets = res.family.subsets
-        assert set(res.subset_classes) == set(subsets)
+        assert set(res.subset_classes) <= set(subsets)
         slots = set()
-        for i, slot in res.subset_classes.items():
+        for i in subsets:
+            slot = res.subset_classes.get(i, -1)
             active = {pr for pr in inst.requirements
                       if pr <= subsets[i] | pinned}
             assert (slot == -1) == (not active)
@@ -182,7 +183,8 @@ def test_skipped_subsets_have_no_active_pairs():
                 assert {pair(u, v) for u, v, _ in rec.active_pairs} == active
                 slots.add(slot)
         assert slots == set(range(len(res.records)))
-        assert -1 in res.subset_classes.values()
+        # some index is skipped
+        assert len(res.subset_classes) < len(subsets)
 
 
 def test_benchmark_report():
