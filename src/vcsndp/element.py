@@ -15,9 +15,10 @@ Two backends over the same instance type:
   that private extension module, on the first LP solve: by path, after
   the top-level scipy package alone, so scipy.optimize is never
   imported.
-* solve_exact: branch and bound over edge subsets, feasibility judged by
-  the flow-based element-connectivity verifier. Desk-scale oracle only;
-  branch_and_bound also serves the exact VC-SNDP oracle.
+* solve_exact: the one exact search, branch and bound over edge subsets
+  with feasibility judged by element-connectivity max-flows, for one or
+  more instances of one graph at once. Desk-scale oracle only; the exact
+  VC-SNDP oracle runs it over one instance per requirement pair.
 """
 
 from __future__ import annotations
@@ -342,36 +343,37 @@ def solve_iterative_rounding(
 # Exact branch and bound
 # ---------------------------------------------------------------------------
 
-def solve_exact(ei: ElementInstance,
+def solve_exact(*eis: ElementInstance,
                 budget: int = DEFAULT_NODE_BUDGET) -> EdgeSolution:
-    """Minimum-cost feasible edge subset by branch and bound.
+    """Minimum-cost edge subset serving every active pair of every given
+    instance, all of one `inst`, by branch and bound: the toolkit's one
+    exact search (desk-scale oracle). The exact VC-SNDP oracle passes one
+    instance per requirement pair with terminals {s, t}.
 
-    Branches over edges in nonincreasing cost order, exclude-first; a
-    branch dies when the edges still available cannot satisfy some pair.
-    A pair the full graph cannot serve raises InfeasibleError.
+    Branches over edges in nonincreasing cost order, then id,
+    exclude-first; a branch dies when the edges still available cannot
+    serve some pair. Each instance with active pairs gets one network,
+    built once. A pair the full edge set cannot serve raises
+    InfeasibleError; more than `budget` nodes raise BudgetExceededError.
     """
-    if not ei.active_pairs:
-        return EdgeSolution.of(ei.inst, ())
-    network = ElementNetwork(ei.inst, ei.terminals)
-    if not _serves(ei, frozenset(range(ei.inst.m)), network):
-        raise InfeasibleError("full edge set is not feasible")
-    return branch_and_bound(
-        ei.inst, lambda ids: _serves(ei, ids, network), budget)
+    inst = eis[0].inst
+    if any(ei.inst is not inst for ei in eis):
+        raise ValueError("element instances must share one inst")
+    checks = [(ei, ElementNetwork(inst, ei.terminals))
+              for ei in eis if ei.active_pairs]
+    if not checks:
+        return EdgeSolution.of(inst, ())
 
+    def feasible(ids: frozenset[int]) -> bool:
+        return all(_serves(ei, ids, network) for ei, network in checks)
 
-def branch_and_bound(inst: Instance, feasible, budget: int) -> EdgeSolution:
-    """Cheapest edge subset accepted by the monotone `feasible` test.
-
-    Precondition: `feasible` accepts the full edge set, which the callers
-    check once before the search."""
     all_ids = frozenset(range(inst.m))
+    if not feasible(all_ids):
+        raise InfeasibleError("full edge set is not feasible")
     order = sorted(all_ids, key=lambda e: (-inst.edge_cost(e), e))
     best_ids = all_ids
     best_cost = inst.total_cost(all_ids)
     nodes = 0
-
-    def rest(idx: int) -> frozenset[int]:
-        return frozenset(order[idx:])
 
     def dfs(idx: int, chosen: frozenset[int], cost: Fraction):
         nonlocal best_ids, best_cost, nodes
@@ -382,12 +384,14 @@ def branch_and_bound(inst: Instance, feasible, budget: int) -> EdgeSolution:
         if cost >= best_cost:
             return
         if idx == len(order):
-            if feasible(chosen):
-                best_ids, best_cost = chosen, cost
+            # chosen is feasible: chosen | order[idx:] is at every node,
+            # from the full set at the root down, since an edge is left
+            # out only when the rest still serve every pair
+            best_ids, best_cost = chosen, cost
             return
         e = order[idx]
         # exclude e when the remaining edges can still cover everything
-        if feasible(chosen | rest(idx + 1)):
+        if feasible(chosen | frozenset(order[idx + 1:])):
             dfs(idx + 1, chosen, cost)
         dfs(idx + 1, chosen | {e}, cost + inst.edge_cost(e))
 

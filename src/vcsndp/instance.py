@@ -125,23 +125,22 @@ class EdgeSolution:
 _WS = re.compile(r"\s+")
 
 
+def _tokens(stream: TextIO | str) -> list[tuple[int, list[str]]]:
+    """(line number from 1, whitespace-split fields) of each line that
+    holds anything once its '#' comment is cut."""
+    text = stream if isinstance(stream, str) else stream.read()
+    return [(ln, _WS.split(body))
+            for ln, raw in enumerate(text.splitlines(), start=1)
+            if (body := raw.split("#", 1)[0].strip())]
+
+
 def parse_instance(stream: TextIO | str) -> Instance:
     """Parse the line-oriented instance format.
 
     Format: `graph <n> <m>`, then m `edge <u> <v> <cost>` lines, then
     `req <u> <v> <r>` lines. '#' starts a comment; blank lines ignored.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream.read().splitlines()
-
-    tokens: list[tuple[int, list[str]]] = []
-    for ln, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            tokens.append((ln, _WS.split(body)))
-
+    tokens = _tokens(stream)
     if not tokens:
         raise ParseError("empty input, expected 'graph <n> <m>' header")
     ln, head = tokens[0]
@@ -215,12 +214,7 @@ def write_instance(inst: Instance) -> str:
 
 def parse_solution(stream: TextIO | str, inst: Instance) -> EdgeSolution:
     """Parse `solution <count> <cost>` + one edge-id per line."""
-    text = stream if isinstance(stream, str) else stream.read()
-    tokens = [
-        (ln, _WS.split(body))
-        for ln, raw in enumerate(text.splitlines(), start=1)
-        if (body := raw.split("#", 1)[0].strip())
-    ]
+    tokens = _tokens(stream)
     if not tokens:
         raise ParseError("empty input, expected 'solution <count> <cost>'")
     ln, head = tokens[0]

@@ -26,7 +26,6 @@ from .element import (
     DEFAULT_NODE_BUDGET,
     ElementInstance,
     SolveCertificate,
-    branch_and_bound,
     induce_element_instance,
     solve_exact,
     solve_iterative_rounding,
@@ -221,12 +220,13 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
 
 def solve_exact_vcsndp(inst: Instance,
                        budget: int = DEFAULT_NODE_BUDGET) -> EdgeSolution:
-    """Exact minimum-cost VC-SNDP by branch and bound (desk-scale oracle)."""
+    """Exact minimum-cost VC-SNDP (desk-scale oracle): solve_exact over one
+    element instance per requirement pair (s, t), with terminals {s, t},
+    where element connectivity is vertex connectivity. A requirement the
+    full graph cannot meet raises InfeasibleError naming its pair."""
     if not inst.requirements:
         return EdgeSolution.of(inst, ())
     check_instance_feasible(inst)
-    return branch_and_bound(
-        inst,
-        lambda ids: verify_vc_solution(
-            inst, EdgeSolution.of(inst, ids)).feasible,
-        budget)
+    reqs = inst.requirements
+    return solve_exact(*(ElementInstance(inst, pr, {pr: reqs[pr]})
+                         for pr in sorted(reqs, key=sorted)), budget=budget)

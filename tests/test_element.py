@@ -108,6 +108,13 @@ def test_exact_budget():
         solve_exact(ei, budget=1)
 
 
+def test_exact_instances_must_share_one_graph():
+    a = induce_element_instance(triangle(1), frozenset({0, 1}), {0, 1})
+    b = induce_element_instance(triangle(1), frozenset({0, 1}), {0, 1})
+    with pytest.raises(ValueError, match="share one inst"):
+        solve_exact(a, b)
+
+
 def test_lp_no_active_pairs():
     inst = Instance(3, ((0, 1, Fraction(2)),))
     ei = ElementInstance(inst=inst, terminals=frozenset({0, 1}))
@@ -264,7 +271,7 @@ def test_one_solver_and_one_network_per_element_solve(monkeypatch):
     assert lp_solves > 6  # some solves share the two across LPs
 
 
-def test_scipy_optimize_loads_on_first_lp():
+def test_importing_the_toolkit_leaves_scipy_optimize_out():
     # importing the toolkit leaves scipy.optimize (0.5-0.7 s, ~50 MB) out
     code = ("import sys, vcsndp, vcsndp.cli; "
             "print('scipy.optimize' in sys.modules)")

@@ -5,11 +5,13 @@ each class's multiplicity, terminals and active pairs, for three
 criterion-2 instances (general mode) and one wheel instance (single-source
 mode, where the source 0 joins every class), all at `--seed 11` with both
 checks on. Float fields are left out so the pins do not depend on LP
-rounding noise.
+rounding noise. The same four instances also pin the cost and edge ids
+of `exact`, the branch-and-bound optimum.
 A refactor must keep these; a deliberate change to them belongs in
 CHANGES.md with the reason.
 """
 
+import io
 import json
 import random
 
@@ -18,7 +20,7 @@ import pytest
 from vcsndp.cli import run
 from vcsndp.errors import GenerationError
 from vcsndp.generate import generate_instance
-from vcsndp.instance import Instance, pair, write_instance
+from vcsndp.instance import Instance, pair, parse_solution, write_instance
 
 
 def _criterion2(count):
@@ -111,3 +113,27 @@ def test_solve_exact_outputs_are_pinned(name, tmp_path):
     assert [rec["edge_ids"] for rec in rep["per_instance"]] == classes
     assert [(rec["multiplicity"], rec["terminals"], rec["active_pairs"])
             for rec in rep["per_instance"]] == CLASSES[name]
+
+
+# (cost, edge ids) of `exact` on each case
+EXACT = {
+    "er0": ("14", [0, 1, 2, 3, 4]),
+    "er1": ("23", [0, 1, 5, 6]),
+    "er2": ("14", [0, 2, 3, 4, 5]),
+    "wheel": ("39", [1, 3, 6, 8, 9, 10, 11, 12, 13, 14, 15]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_exact_optimum_is_pinned(name, tmp_path):
+    inst, _ = _cases()[name]
+    path = tmp_path / "inst.txt"
+    path.write_text(write_instance(inst))
+    out = io.StringIO()
+    assert run(["exact", str(path)], out=out) == 0
+    line, text = out.getvalue().split("\n", 1)
+    sol = parse_solution(text, inst)
+    cost, edges = EXACT[name]
+    assert line == f"cost {cost} edges {len(edges)}"
+    assert str(sol.cost) == cost
+    assert sorted(sol.edge_ids) == edges

@@ -1,12 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import c4
+from conftest import c4, random_graph
+from vcsndp.connectivity import (
+    element_connectivity_pair,
+    verify_vc_solution,
+    vertex_connectivity_pair,
+)
+from vcsndp.element import ElementInstance, solve_exact
 from vcsndp.errors import GenerationError, InfeasibleError
 from vcsndp.generate import generate_instance
-from vcsndp.instance import Instance, pair
+from vcsndp.instance import EdgeSolution, Instance, pair
 from vcsndp.pipeline import (
     PipelineConfig,
     find_common_source,
@@ -109,6 +117,65 @@ def test_exact_vcsndp_shortest_path_case():
                         (0, 3, Fraction(9))), {pair(0, 3): 1})
     sol = solve_exact_vcsndp(inst)
     assert sol.cost == 5  # shortest 0-3 path through vertex 2
+
+
+def _cheapest_accepted(inst, accepts):
+    """Least cost over every one of the 2^m edge subsets that `accepts`."""
+    return min(inst.total_cost(ids)
+               for size in range(inst.m + 1)
+               for ids in map(frozenset, combinations(range(inst.m), size))
+               if accepts(ids))
+
+
+def test_exact_entry_points_match_exhaustive_search():
+    rng = random.Random(8)
+    seen = 0
+    while seen < 24:
+        graph = random_graph(rng.randint(4, 6), 0.6, rng)
+        if not 1 <= graph.m <= 8:
+            continue
+        seen += 1
+        # solve_exact_vcsndp, each subset judged by verify_vc_solution
+        reqs = {}
+        for s, t in rng.sample(list(combinations(range(graph.n), 2)),
+                               rng.randint(1, 3)):
+            cap = vertex_connectivity_pair(graph, s, t).value
+            if cap >= 1:
+                reqs[pair(s, t)] = min(rng.randint(1, 3), cap)
+        if reqs:
+            inst = Instance(graph.n, graph.edges, reqs)
+            sol = solve_exact_vcsndp(inst)
+            assert verify_vc_solution(inst, sol).feasible
+            assert sol.cost == _cheapest_accepted(
+                inst, lambda ids: verify_vc_solution(
+                    inst, EdgeSolution.of(inst, ids)).feasible)
+        # solve_exact with a terminal beyond the pair ends, each subset
+        # judged pair by pair; the spare terminal is a vertex of top
+        # degree, where paths sharing it are likeliest to pay
+        degree = Counter(w for u, v, _ in graph.edges for w in (u, v))
+        spare = max(range(graph.n), key=lambda w: (degree[w], rng.random()))
+        terms = rng.sample([w for w in range(graph.n) if w != spare],
+                           rng.randint(2, min(4, graph.n - 1)))
+        terminals = frozenset((spare, *terms))
+        active = {}
+        pairs = list(combinations(terms, 2))
+        for s, t in rng.sample(pairs, rng.randint(1, min(2, len(pairs)))):
+            cap = element_connectivity_pair(graph, terminals, s, t).value
+            if cap >= 1:
+                active[pair(s, t)] = min(rng.randint(1, 3), cap)
+        if not active:
+            continue
+        ei = ElementInstance(graph, terminals, active)
+
+        def serves(ids):
+            return all(element_connectivity_pair(
+                graph, terminals, *sorted(pr), ids).value >= r
+                for pr, r in active.items())
+
+        sol = solve_exact(ei)
+        assert serves(sol.edge_ids)
+        assert sol.cost == graph.total_cost(sol.edge_ids)
+        assert sol.cost == _cheapest_accepted(graph, serves)
 
 
 def test_single_source_star():
