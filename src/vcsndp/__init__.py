@@ -4,8 +4,6 @@ to element-connectivity subproblems, with certified solving and verification."""
 from .connectivity import (
     ConnectivityQueryResult,
     VerificationReport,
-    brute_force_menger_element,
-    brute_force_menger_vertex,
     element_connectivity_pair,
     fractional_element_mincut,
     verify_vc_solution,

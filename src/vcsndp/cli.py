@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: gen, solve, verify, family, exact, bench. `solve` and
-`bench` size the family by the terminal count tau; `--p/--q` give any
-other size.
+Subcommands: gen, solve, verify, family, exact, bench. The commands parse
+arguments and print results: `pipeline` picks a run's mode and family,
+for `solve`, `bench` and `family --from` alike, and sizes the family by
+the terminal count tau unless `--p/--q` give another size.
 Exit codes: 0 success/feasible, 1 infeasible or not-good, 2 usage/input
 error (a malformed file, a bad cost or grid width among them), 3 search
 budget exceeded or a family sample over its memory budget, 4 solver
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from .errors import (
 )
 from .generate import MODELS, generate_instance
 from .instance import (
-    derive_terminals,
     format_cost,
     parse_instance,
     parse_solution,
@@ -42,9 +42,7 @@ from .instance import (
 )
 from .pipeline import (
     PipelineConfig,
-    check_instance_feasible,
-    family_terminals,
-    find_common_source,
+    family_setup,
     solve_exact_vcsndp,
     solve_pipeline,
 )
@@ -148,9 +146,10 @@ def _params_override(args) -> tuple[int, int] | None:
     return None if args.p is None else (args.p, args.q)
 
 
-def _pipeline_config(args, mode: str) -> PipelineConfig:
+def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
-        mode=mode,
+        mode={"on": fam.SINGLE_SOURCE, "off": fam.GENERAL,
+              "auto": "auto"}[args.single_source],
         seed=args.seed,
         backend=args.backend,
         params_override=_params_override(args),
@@ -159,20 +158,6 @@ def _pipeline_config(args, mode: str) -> PipelineConfig:
         verify_solution=args.verify,
         jobs=args.jobs,
     )
-
-
-_FIXED_MODES = {"on": fam.SINGLE_SOURCE, "off": fam.GENERAL}
-
-
-def _detect_mode(args, inst) -> str:
-    """The mode `--single-source on|off` names, else detected from `inst`."""
-    if args.single_source in _FIXED_MODES:
-        return _FIXED_MODES[args.single_source]
-    try:
-        find_common_source(inst)
-        return fam.SINGLE_SOURCE
-    except InfeasibleError:
-        return fam.GENERAL
 
 
 def _emit(text: str, path: Path | None, out):
@@ -192,12 +177,11 @@ def _cmd_gen(args, out) -> int:
 
 def _cmd_solve(args, out) -> int:
     inst = parse_instance(args.instance.read_text())
-    mode = _detect_mode(args, inst)
-    cfg = _pipeline_config(args, mode)
+    cfg = _pipeline_config(args)
     result = solve_pipeline(inst, cfg)
     if args.json is not None:
         args.json.write_text(dumps(result_to_dict(inst, cfg, result)))
-    out.write(f"mode {mode}\n")
+    out.write(f"mode {result.family.params.mode}\n")
     out.write(f"p {result.family.params.p} q {result.family.params.q} "
               f"resamples {result.resamples_used}\n")
     out.write(f"distinct-instances {len(result.records)}\n")
@@ -231,29 +215,25 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_family(args, out) -> int:
     if args.from_instance is not None:
-        # the terminals and pairs that `solve` draws over and checks
+        # the terminals, pairs and params that `solve` draws over and checks
         inst = parse_instance(args.from_instance.read_text())
-        k = inst.k
-        if args.k not in (None, k):
+        if args.k not in (None, inst.k):
             raise ValueError(f"--k {args.k} differs from the instance's "
-                             f"largest requirement {k}")
-        # as `solve` does, before k sizes the family
-        check_instance_feasible(inst)
-        drawn, _ = family_terminals(inst, args.mode)
+                             f"largest requirement {inst.k}")
+        drawn, _, params = family_setup(
+            inst, args.mode, _params_override(args), args.unsafe_params,
+            args.basis)
         terminals = sorted(drawn)
-        tau = len(derive_terminals(inst))
         pairs = list(inst.requirements)
     else:
         if args.k is None:
             raise ValueError("--terminals needs --k")
-        k = args.k
         if args.terminals < 1:
             raise ValueError("--terminals must be >= 1")
         tau = args.terminals
-    basis = args.basis if args.basis is not None else max(2, tau)
-    params = fam.resolve_params(k, basis, args.mode,
-                                _params_override(args), args.unsafe_params)
-    if args.from_instance is None:
+        basis = args.basis if args.basis is not None else max(2, tau)
+        params = fam.resolve_params(args.k, basis, args.mode,
+                                    _params_override(args), args.unsafe_params)
         # the sample's budget bounds tau before the terminals are listed
         fam.check_sample_budget(tau, params)
         terminals = list(range(tau))
@@ -294,11 +274,9 @@ def _cmd_bench(args, out) -> int:
         raise ValueError(f"{args.directory}: not a directory")
     paths = sorted(args.directory.glob("*.txt"))
     instances = [(p.name, parse_instance(p.read_text())) for p in paths]
-    fixed = _FIXED_MODES.get(args.single_source)
-    cfg = _pipeline_config(args, fixed or fam.GENERAL)
-    rep = benchmark(instances, cfg, exact_oracle=not args.no_exact,
-                    include_timing=not args.no_timing,
-                    mode_of=None if fixed else partial(_detect_mode, args))
+    rep = benchmark(instances, _pipeline_config(args),
+                    exact_oracle=not args.no_exact,
+                    include_timing=not args.no_timing)
     if args.json is not None:
         args.json.write_text(dumps(rep))
     agg = rep["aggregate"]

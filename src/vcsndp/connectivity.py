@@ -1,4 +1,4 @@
-"""Connectivity queries by max-flow, plus brute-force Menger oracles.
+"""Connectivity queries by max-flow.
 
 Every query runs on one network, ElementNetwork(inst, terminals): each
 non-terminal vertex becomes an in/out pair joined by a unit arc, each edge
@@ -11,18 +11,17 @@ edge get nodes, so isolated vertices cost nothing. Capacities in [0,1] are
 scaled by the lcm of their denominators, so Dinic runs on exact ints. An
 element solve builds one network and reloads it for each separation round
 and once for each integral check. A query that only asks whether the value
-reaches a target stops its flow there.
+reaches a target stops its flow there. The brute-force Menger oracles that
+the tests check these queries against live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import BudgetExceededError
 from .instance import EdgeSolution, Instance
 from .maxflow import CapacitatedNetwork
 
@@ -189,85 +188,3 @@ def verify_vc_solution(inst: Instance, sol: EdgeSolution) -> VerificationReport:
         ok &= got >= r
         reports.append(PairReport(u, v, r, int(got)))
     return VerificationReport(ok, tuple(reports))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force Menger oracles: enumerate removal sets in increasing size.
-# Only viable on desk-scale graphs; these are the independent test oracles.
-# ---------------------------------------------------------------------------
-
-_DEFAULT_ENUM_BUDGET = 1 << 20
-
-
-def _edge_list(inst: Instance, edge_ids: Iterable[int] | None):
-    if edge_ids is None:
-        return list(enumerate(inst.edges))
-    return [(e, inst.edges[e]) for e in sorted(set(edge_ids))]
-
-
-def _connected_after_removal(inst, edges, s, t, gone_edges, gone_vertices):
-    adj = {s: set(), t: set()}
-    for eid, (u, v, _) in edges:
-        if eid in gone_edges or u in gone_vertices or v in gone_vertices:
-            continue
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    stack, seen = [s], {s}
-    while stack:
-        u = stack.pop()
-        if u == t:
-            return True
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
-
-
-def _enumerate_min_removal(inst, edges, s, t, edge_candidates,
-                           vertex_candidates, budget):
-    """Smallest removal set over the given candidates disconnecting s,t."""
-    items = [("edge", e) for e in edge_candidates] + \
-            [("vertex", w) for w in vertex_candidates]
-    examined = 0
-    for size in range(len(items) + 1):
-        for combo in itertools.combinations(items, size):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError(
-                    f"removal-set enumeration exceeded {budget} combinations")
-            ge = {ref for kind, ref in combo if kind == "edge"}
-            gv = {ref for kind, ref in combo if kind == "vertex"}
-            if not _connected_after_removal(inst, edges, s, t, ge, gv):
-                return size
-    raise AssertionError("removing every candidate must disconnect the pair")
-
-
-def brute_force_menger_vertex(
-    inst: Instance, s: int, t: int,
-    edge_ids: Iterable[int] | None = None,
-    budget: int = _DEFAULT_ENUM_BUDGET,
-) -> int:
-    """Vertex connectivity by removal enumeration.
-
-    Removable objects: vertices other than s,t plus direct s-t edges (a
-    direct edge can never be disconnected by vertex removal alone).
-    """
-    edges = _edge_list(inst, edge_ids)
-    direct = [eid for eid, (u, v, _) in edges if {u, v} == {s, t}]
-    others = [w for w in range(inst.n) if w not in (s, t)]
-    return _enumerate_min_removal(inst, edges, s, t, direct, others, budget)
-
-
-def brute_force_menger_element(
-    inst: Instance, terminals: frozenset[int], s: int, t: int,
-    edge_ids: Iterable[int] | None = None,
-    budget: int = _DEFAULT_ENUM_BUDGET,
-) -> int:
-    """Element connectivity by removal enumeration over edges + non-terminals."""
-    _check_query(s, t, terminals)
-    edges = _edge_list(inst, edge_ids)
-    eids = [eid for eid, _ in edges]
-    nonterms = [w for w in range(inst.n)
-                if w not in terminals and w not in (s, t)]
-    return _enumerate_min_removal(inst, edges, s, t, eids, nonterms, budget)

@@ -270,8 +270,6 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = (),
                 continue
             f_free = frozenset(res.cut_edges) - purchased
             bound = r - len(res.cut_vertices) - len(res.cut_edges & purchased)
-            if bound <= 0:
-                continue
             if not f_free:
                 raise InfeasibleError(
                     f"pair ({u},{v}): violated cut with no free edges")
@@ -321,8 +319,6 @@ def solve_iterative_rounding(
         lp = solve_lp(ei, purchased, solver, network)
         if first_lp is None:
             first_lp = lp.objective
-        if not lp.values:
-            raise InfeasibleError("no edge left to purchase")
         # max LP value, ties to the lowest edge id, for determinism
         best = min(lp.values, key=lambda e: (-lp.values[e], e))
         purchased.add(best)

@@ -123,15 +123,6 @@ class TerminalFamily:
         """terminal -> drawn indices (deduplicated)."""
         return {t: frozenset(_bits(m)) for t, m in self.masks.items()}
 
-    @property
-    def subsets(self) -> dict[int, frozenset[int]]:
-        """T_i = {t | i in phi(t)} for i = 1..p."""
-        out: dict[int, set[int]] = {i: set() for i in range(1, self.params.p + 1)}
-        for t, idx in self.phi.items():
-            for i in idx:
-                out[i].add(t)
-        return {i: frozenset(s) for i, s in out.items()}
-
     def shared_mask(self, group: Iterable[int]) -> int:
         """The AND of the masks of group: bit i is set iff T_i holds every
         terminal in group."""

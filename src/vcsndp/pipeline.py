@@ -4,11 +4,14 @@ Sample a family of terminal subsets, induce one element instance per
 subset, solve each with the chosen backend, return the union of the
 purchased edge sets. The two modes differ only in the family's rate and
 in a pinned terminal: single-source mode draws the family over the sinks
-and pins the common source, which joins every subset. Identical induced
-instances (same requirement-pair set) are solved once; the representative
-is solved with the minimal terminal set (the endpoints of its pairs), which
-is at least as constrained as any subset in its class, so reuse preserves
-feasibility.
+and pins the common source, which joins every subset. Mode "auto" picks
+single-source when every requirement pair shares a vertex. `family_setup`
+makes these decisions once, for `solve_pipeline` and for `family --from`:
+the mode, the drawn and pinned terminals, the feasibility precheck and
+the family's (p, q). Identical induced instances (same requirement-pair
+set) are solved once; the representative is solved with the minimal
+terminal set (the endpoints of its pairs), which is at least as
+constrained as any subset in its class, so reuse preserves feasibility.
 """
 
 from __future__ import annotations
@@ -34,12 +37,13 @@ from .errors import FamilyNotGoodError, InfeasibleError
 from .instance import EdgeSolution, Instance, derive_terminals
 
 BACKENDS = ("iterative", "exact")
+MODES = (*fam.MODES, "auto")
 MAX_RESAMPLES = 16  # families drawn, at seeds seed..seed+15, before giving up
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    mode: str = fam.GENERAL            # general | single-source
+    mode: str = fam.GENERAL            # general | single-source | auto
     seed: int = 0
     backend: str = "iterative"
     params_override: tuple[int, int] | None = None  # (p, q)
@@ -49,8 +53,8 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.mode not in fam.MODES:
-            raise ValueError(f"mode must be one of {fam.MODES}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
         if self.jobs < 1:
@@ -102,22 +106,40 @@ def find_common_source(inst: Instance) -> int:
     """The vertex shared by all requirement pairs; smallest id on ties."""
     if not inst.requirements:
         raise InfeasibleError("instance has no requirements")
-    common = None
-    for pr in inst.requirements:
-        common = set(pr) if common is None else common & pr
+    common = frozenset.intersection(*inst.requirements)
     if not common:
         raise InfeasibleError("requirement pairs share no common source")
     return min(common)
 
 
-def family_terminals(inst: Instance, mode: str
-                     ) -> tuple[frozenset[int], frozenset[int]]:
-    """(terminals the family is drawn over, pinned terminals). Single-source
-    mode pins the common source: it draws no indices and joins every
-    subset."""
+def resolve_mode(inst: Instance, mode: str) -> str:
+    """`mode`, or for "auto" single-source when every requirement pair
+    shares a vertex and general otherwise."""
+    if mode != "auto":
+        return mode
+    shared = inst.requirements and frozenset.intersection(*inst.requirements)
+    return fam.SINGLE_SOURCE if shared else fam.GENERAL
+
+
+def family_setup(inst: Instance, mode: str,
+                 override: tuple[int, int] | None = None,
+                 unsafe: bool = False, basis: int | None = None
+                 ) -> tuple[frozenset[int], frozenset[int], fam.FamilyParams]:
+    """(terminals the family is drawn over, pinned terminals, params) for
+    `inst` in `mode`. Single-source mode pins the common source: it draws
+    no indices and joins every subset. The full graph must meet every
+    requirement before k sizes the family, whose log basis defaults to
+    max(2, tau) (Remark 1)."""
+    if not inst.requirements:
+        raise InfeasibleError("instance has no requirements")
+    mode = resolve_mode(inst, mode)
     pinned = (frozenset({find_common_source(inst)})
               if mode == fam.SINGLE_SOURCE else frozenset())
-    return derive_terminals(inst) - pinned, pinned
+    check_instance_feasible(inst)
+    terminals = derive_terminals(inst)
+    basis = basis if basis is not None else max(2, len(terminals))
+    params = fam.resolve_params(inst.k, basis, mode, override, unsafe)
+    return terminals - pinned, pinned, params
 
 
 def _sample_good_family(terminals, params, cfg, pairs):
@@ -146,15 +168,10 @@ def _solve_backend(ei: ElementInstance, cfg: PipelineConfig):
 
 def solve_pipeline(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
     """VC-SNDP in `cfg.mode` by the good-family reduction to element
-    instances."""
-    if not inst.requirements:
-        raise InfeasibleError("instance has no requirements")
-    drawn, pinned = family_terminals(inst, cfg.mode)
-    check_instance_feasible(inst)
-    terminals = derive_terminals(inst)
-    # the family is sized by log tau (Remark 1), as `family --from` sizes it
-    params = fam.resolve_params(inst.k, max(2, len(terminals)), cfg.mode,
-                                cfg.params_override, cfg.unsafe_params)
+    instances; `result.family.params.mode` names the mode it ran in."""
+    drawn, pinned, params = family_setup(
+        inst, cfg.mode, cfg.params_override, cfg.unsafe_params)
+    terminals = drawn | pinned
     pairs = frozenset(inst.requirements)
     family, resamples = _sample_good_family(drawn, params, cfg, pairs)
 

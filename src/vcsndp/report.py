@@ -2,19 +2,26 @@
 
 Reports are deterministic for a fixed (instance, config) unless timing is
 requested, so byte-identical output doubles as a reproducibility check.
+A report names the mode a run used, which `pipeline` resolves; a
+benchmark's top-level mode is the configured one, "auto" included.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import BudgetExceededError
 from .instance import Instance, derive_terminals, format_cost
-from .pipeline import PipelineConfig, PipelineResult, solve_exact_vcsndp, solve_pipeline
+from .pipeline import (
+    PipelineConfig,
+    PipelineResult,
+    resolve_mode,
+    solve_exact_vcsndp,
+    solve_pipeline,
+)
 
 
 def _cost_json(c: Fraction) -> dict:
@@ -46,7 +53,7 @@ def result_to_dict(inst: Instance, cfg: PipelineConfig,
             "tau": len(derive_terminals(inst)),
             "num_pairs": len(inst.requirements),
         },
-        "mode": cfg.mode,
+        "mode": params.mode,
         "seed": cfg.seed,
         "backend": cfg.backend,
         "params": {"p": params.p, "q": params.q, "basis": params.basis,
@@ -85,22 +92,21 @@ def dumps(report: dict) -> str:
 
 
 def benchmark(instances: Iterable[tuple[str, Instance]], cfg: PipelineConfig,
-              *, exact_oracle: bool = True, include_timing: bool = True,
-              mode_of: Callable[[Instance], str] | None = None) -> dict:
+              *, exact_oracle: bool = True,
+              include_timing: bool = True) -> dict:
     """Run the pipeline (and the exact oracle, within its default node
     budget, where it completes) over a corpus; per-instance failures are
-    recorded, not fatal. `mode_of`, when given, picks each instance's mode,
-    and the report's mode is "auto"."""
+    recorded, not fatal. Each row names the mode its instance resolves to."""
     rows = []
     ratios = []
     for name, inst in instances:
-        run_cfg = cfg if mode_of is None else replace(cfg, mode=mode_of(inst))
-        row = {"name": name, "mode": run_cfg.mode, "n": inst.n, "m": inst.m,
-               "k": inst.k, "tau": len(derive_terminals(inst)),
+        row = {"name": name, "mode": resolve_mode(inst, cfg.mode),
+               "n": inst.n, "m": inst.m, "k": inst.k,
+               "tau": len(derive_terminals(inst)),
                "num_pairs": len(inst.requirements)}
         start = time.monotonic()
         try:
-            result = solve_pipeline(inst, run_cfg)
+            result = solve_pipeline(inst, cfg)
         except (ValueError, OSError):
             raise  # a usage error, the same for every instance
         except Exception as exc:
@@ -136,7 +142,7 @@ def benchmark(instances: Iterable[tuple[str, Instance]], cfg: PipelineConfig,
             row["wall_time"] = time.monotonic() - start
         rows.append(row)
     return {
-        "mode": cfg.mode if mode_of is None else "auto",
+        "mode": cfg.mode,
         "seed": cfg.seed,
         "backend": cfg.backend,
         "instances": rows,

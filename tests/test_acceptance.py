@@ -10,10 +10,9 @@ import random
 from itertools import combinations
 
 from conftest import c4, random_graph, triangle
+from oracles import brute_force_menger_element, brute_force_menger_vertex
 from vcsndp import family as fam
 from vcsndp.connectivity import (
-    brute_force_menger_element,
-    brute_force_menger_vertex,
     element_connectivity_pair,
     vertex_connectivity_pair,
 )

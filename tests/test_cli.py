@@ -12,7 +12,7 @@ from conftest import run_cli_capped
 from vcsndp import family as fam
 from vcsndp.generate import MODELS
 from vcsndp.cli import _build_parser, run
-from vcsndp.instance import write_instance
+from vcsndp.instance import parse_instance, write_instance
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FEASIBLE = "graph 4 4\nedge 0 1 1\nedge 1 2 1\nedge 2 3 1\nedge 3 0 1\nreq 0 2 2\n"
@@ -286,6 +286,27 @@ def test_family_from_rejects_a_requirement_above_connectivity(tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
 
+NO_REQUIREMENTS = "graph 3 2\nedge 0 1 1\nedge 1 2 1\n"
+# (0,1) needs 2 paths on a path graph, and the pairs share no vertex
+NO_SOURCE = ("graph 4 3\nedge 0 1 1\nedge 1 2 1\nedge 2 3 1\n"
+             "req 0 1 2\nreq 2 3 1\n")
+
+
+@pytest.mark.parametrize("text, mode, message", [
+    (NO_REQUIREMENTS, "general", "instance has no requirements"),
+    (NO_REQUIREMENTS, "single-source", "instance has no requirements"),
+    (NO_SOURCE, "single-source", "requirement pairs share no common source"),
+])
+def test_family_from_fails_as_solve_does(tmp_path, text, mode, message):
+    # both commands take the instance's mode and family from one setup
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    flag = "on" if mode == fam.SINGLE_SOURCE else "off"
+    family = invoke(["family", "--from", str(path), "--mode", mode])
+    solve = invoke(["solve", str(path), "--single-source", flag])
+    assert family == solve == (1, "", f"infeasible: {message}\n")
+
+
 def test_solve_verify_long_path(tmp_path):
     # every max-flow in the run sees a level graph about 2000 vertices deep
     n = 2000
@@ -434,6 +455,23 @@ def test_gen_grid_width_below_one_exit_two(width):
                              "3", "--seed", "1"])
     assert (code, out) == (2, "")
     assert f"grid width {float(width)} " in err
+
+
+def test_gen_cost_at_or_above_the_parse_limit_exit_two(tmp_path):
+    # reading the file back would fail: "cost ... is not below 10**20"
+    argv = ["gen", "--model", "wheel", "--n", "5", "--k", "1", "--pairs",
+            "1", "--seed", "1"]
+    code, out, err = invoke(argv + ["--cost-min", str(10**20),
+                                    "--cost-max", str(10**20 + 1)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cost {10**20 + 1} is not below 10**20\n"
+    path = tmp_path / "top.txt"
+    top = str(10**20 - 1)
+    code, _, _ = invoke(argv + ["--cost-min", top, "--cost-max", top,
+                                "-o", str(path)])
+    assert code == 0
+    costs = [c for *_, c in parse_instance(path.read_text()).edges]
+    assert max(costs) == int(top)
 
 
 # a sample larger than this runs in a child under the address-space cap

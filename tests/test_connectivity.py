@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import c4, random_graph, triangle
+from oracles import brute_force_menger_element, brute_force_menger_vertex
 from vcsndp.connectivity import (
     ConnectivityQueryResult,
     ElementNetwork,
-    brute_force_menger_element,
-    brute_force_menger_vertex,
     element_connectivity_pair,
     fractional_element_mincut,
     verify_vc_solution,

@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import subsets_of
 from vcsndp import family as fam
 from vcsndp.errors import BudgetExceededError
 from vcsndp.instance import pair
@@ -61,13 +62,13 @@ def test_empty_terminal_set():
     params = fam.default_params(1, 2)
     f = fam.sample_family([], params, seed=0)
     assert f.phi == {}
-    assert all(not s for s in f.subsets.values())
+    assert all(not s for s in subsets_of(f).values())
 
 
 def test_subset_phi_duality():
     params = fam.default_params(2, 6)
     f = fam.sample_family(range(6), params, seed=3)
-    subsets = f.subsets
+    subsets = subsets_of(f)
     for t, idx in f.phi.items():
         for i in range(1, params.p + 1):
             assert (t in subsets[i]) == (i in idx)
@@ -221,7 +222,7 @@ def test_pruned_check_matches_reference_reports():
 def reference_subset_check(family, pairs, terminals, k):
     """The literal loop over every pair, blocking set and subset T_i: the
     oracle for the subset-form check."""
-    subsets = family.subsets
+    subsets = subsets_of(family)
     terms = sorted(set(terminals))
     for pr in sorted(pairs, key=sorted):
         s, t = sorted(pr)
@@ -292,7 +293,7 @@ def test_masks_mirror_phi():
         assert {i for i in range(params.p + 1)
                 if f.masks[t] >> i & 1} == idx
     assert f.masks[6] == 0 and f.masks[7] == 1 << 17
-    subsets = f.subsets
+    subsets = subsets_of(f)
     for group in [(), (8,), *combinations(range(9), 1),
                   *combinations(range(9), 2)]:
         assert f.common_indices(group) == [

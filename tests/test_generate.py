@@ -65,6 +65,10 @@ def test_argument_validation():
         generate_instance("nonesuch", 4, 0.5, 1, 1, (1, 2), seed=0)
     with pytest.raises(ValueError):
         generate_instance("erdos-renyi", 4, 0.5, 1, 1, (5, 2), seed=0)
+    # `parse_instance` refuses a cost of 10**20 or more
+    with pytest.raises(ValueError, match=r"not below 10\*\*20"):
+        generate_instance("erdos-renyi", 4, 0.5, 1, 1,
+                          (10**20, 10**20 + 1), seed=0)
 
 
 def test_pairs_drawn_as_from_the_list_of_all_pairs():

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from conftest import c4, random_graph
+from oracles import subsets_of
 from vcsndp.connectivity import (
     element_connectivity_pair,
     verify_vc_solution,
@@ -18,6 +19,7 @@ from vcsndp.instance import EdgeSolution, Instance, pair
 from vcsndp.pipeline import (
     PipelineConfig,
     find_common_source,
+    resolve_mode,
     solve_exact_vcsndp,
     solve_pipeline,
 )
@@ -217,6 +219,26 @@ def test_find_common_source():
     assert find_common_source(both) == 1
 
 
+def test_auto_mode_runs_the_detected_mode():
+    cycle = c4(1).edges
+    source = Instance(4, cycle, {pair(0, 1): 1, pair(0, 2): 2})
+    general = Instance(4, cycle, {pair(0, 2): 1, pair(1, 3): 1})
+    for inst, mode in ((source, "single-source"), (general, "general")):
+        assert resolve_mode(inst, "auto") == mode
+        auto_cfg = PipelineConfig(mode="auto", seed=4)
+        fixed_cfg = PipelineConfig(mode=mode, seed=4)
+        auto = solve_pipeline(inst, auto_cfg)
+        assert auto.family.params.mode == mode
+        assert auto.source == (0 if mode == "single-source" else None)
+        # the same run, and report, as naming the mode
+        fixed = solve_pipeline(inst, fixed_cfg)
+        assert (dumps(result_to_dict(inst, auto_cfg, auto))
+                == dumps(result_to_dict(inst, fixed_cfg, fixed)))
+    assert resolve_mode(source, "general") == "general"
+    with pytest.raises(ValueError, match="mode must be one of"):
+        PipelineConfig(mode="nonesuch")
+
+
 def test_cost_bound_2p_opt():
     rng = random.Random(21)
     for inst in feasible_instances(3, rng, n_max=8, pairs=2):
@@ -235,7 +257,7 @@ def test_skipped_subsets_have_no_active_pairs():
         res = solve_pipeline(inst, PipelineConfig(mode=mode, seed=11,
                                                   verify_family=True))
         pinned = {res.source} - {None}
-        subsets = res.family.subsets
+        subsets = subsets_of(res.family)
         assert set(res.subset_classes) <= set(subsets)
         slots = set()
         for i in subsets:

@@ -36,3 +36,34 @@ def test_goodness_rates_script(mode, k):
          "--terminals", "4", "--k", str(k), "--seeds", "3", "--mode", mode],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     assert proc.stdout == GOODNESS_RATES[mode]
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+# a comment line
+import os  # a comment after code
+
+
+def f(x):
+    """Function docstring."""
+
+    text = """a string that is
+not a docstring"""
+    return (x,
+            text)
+'''
+
+
+def test_code_lines_script(tmp_path):
+    # counted: import, def, the two lines of `text`, the two of the return
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "pkg" / "empty.py").write_text("# nothing but a comment\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"),
+         str(tmp_path / "pkg")],
+        capture_output=True, text=True, timeout=60, check=True)
+    pkg = tmp_path / "pkg"
+    assert proc.stdout == (f"0 {pkg / 'empty.py'}\n"
+                           f"6 {pkg / 'mod.py'}\ntotal 6\n")
