@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Count the code lines of the Python files under a directory.
+"""Count the code lines of Python files, given as files or directories.
 
 A line counts when it holds a token other than a comment, a line break,
 an indent or dedent, or a docstring (a string that stands alone as a
 statement). Blank lines, comment lines and docstrings therefore count
-for nothing. Prints one `<count> <file>` line per file, sorted by path,
-then `total <count>`.
+for nothing. Each directory stands for the `.py` files under it, sorted
+by path. Prints one `<count> <file>` line per file, in the order the
+paths are given and each file once, then `total <count>`.
 
     python scripts/code_lines.py src/vcsndp
+    python scripts/code_lines.py src/vcsndp/maxflow.py tests
 """
 
 import argparse
@@ -39,10 +41,14 @@ def code_lines(path: Path) -> int:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("directory", type=Path)
+    ap.add_argument("paths", nargs="+", type=Path, metavar="path",
+                    help="a Python file, or a directory of them")
     args = ap.parse_args()
+    files = [file for path in args.paths
+             for file in (sorted(path.rglob("*.py")) if path.is_dir()
+                          else [path])]
     total = 0
-    for path in sorted(args.directory.rglob("*.py")):
+    for path in dict.fromkeys(files):
         count = code_lines(path)
         total += count
         print(f"{count} {path}")

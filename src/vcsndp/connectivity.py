@@ -33,13 +33,6 @@ class ConnectivityQueryResult:
     cut_vertices: frozenset[int] | None  # vertex ids; None past a target
 
 
-def _check_query(s, t, terminals):
-    if s not in terminals or t not in terminals:
-        raise ValueError("s and t must be terminals")
-    if s == t:
-        raise ValueError("s == t")
-
-
 class ElementNetwork:
     """The element-connectivity network of `inst` with `terminals`, built
     once over every edge and queried under any edge capacities."""
@@ -90,7 +83,8 @@ class ElementNetwork:
     def min_cut(self, s: int, t: int, capacities: Mapping[int, Fraction],
                 target: int | None = None) -> ConnectivityQueryResult:
         """Minimum s-t cut when edge e has capacity capacities[e] in [0,1]
-        (default 0) and every non-terminal vertex 1.
+        (default 0) and every non-terminal vertex 1. s and t must be
+        distinct terminals; ValueError otherwise.
 
         The network keeps the capacities it last loaded, and reloads only
         for a different mapping object, so the caller must not change that
@@ -103,7 +97,8 @@ class ElementNetwork:
         for both cut sets. Below the target the result is the one without
         a target.
         """
-        _check_query(s, t, self.terminals)
+        if s not in self.terminals or t not in self.terminals:
+            raise ValueError("s and t must be terminals")
         if capacities is not self._capacities:
             self._load(capacities)
         scaled = None if target is None else target * self._scale

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .connectivity import vertex_connectivity_pair
 from .errors import GenerationError
-from .instance import MAX_EDGE_COST, Instance, pair
+from .instance import Instance, lp_cost_ok, pair
 
 MODELS = ("erdos-renyi", "grid", "wheel")
 
@@ -72,9 +72,9 @@ def generate_instance(
     lo, hi = cost_range
     if not (0 <= lo <= hi):
         raise ValueError("bad cost range")
-    if hi >= MAX_EDGE_COST:
+    if not lp_cost_ok(hi):
         # the file could not be read back: parse_instance refuses the cost
-        raise ValueError(f"cost {hi} is not below 10**20")
+        raise ValueError(f"cost {hi} is not below 10**20 as a float")
     rng = random.Random(seed)
     raw = _model_edges(model, n, edge_param, rng)
     edges = tuple((u, v, Fraction(rng.randint(lo, hi))) for u, v in raw)

@@ -16,9 +16,6 @@ from .errors import ParseError
 
 Pair = frozenset  # frozenset({u, v}) with u != v
 
-# the LP solver takes a cost at or above 1e20 for infinite
-MAX_EDGE_COST = 10**20
-
 
 def pair(u: int, v: int) -> Pair:
     if u == v:
@@ -35,6 +32,13 @@ def parse_cost(text: str) -> Fraction:
     if c < 0:
         raise ValueError(f"negative cost {text}")
     return c
+
+
+def lp_cost_ok(cost: Fraction | int) -> bool:
+    """Whether the LP can hold `cost`: it gets float(cost), and the LP
+    solver takes a float of 1e20 or more for infinite."""
+    # compared exactly first, since float() overflows far above 1e20
+    return cost < 10**20 and float(cost) < 1e20
 
 
 def format_cost(c: Fraction) -> str:
@@ -173,8 +177,9 @@ def parse_instance(stream: TextIO | str) -> Instance:
                 raise ParseError(f"self-loop at vertex {u}", ln)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"vertex id out of range 0..{n - 1}", ln)
-            if cost >= MAX_EDGE_COST:
-                raise ParseError(f"cost {toks[3]} is not below 10**20", ln)
+            if not lp_cost_ok(cost):
+                raise ParseError(
+                    f"cost {toks[3]} is not below 10**20 as a float", ln)
             edges.append((u, v, cost))
         elif kind == "req":
             if len(toks) != 4:

@@ -1,5 +1,6 @@
 """Independent test oracles, kept out of the library: brute-force Menger
-connectivity by removal enumeration, and a family's subsets T_i listed
+connectivity by removal enumeration, minimum cuts of small directed
+networks by source-side enumeration, and a family's subsets T_i listed
 from its draws. Only viable at desk scale."""
 
 import itertools
@@ -95,3 +96,35 @@ def brute_force_menger_element(
     nonterms = [w for w in range(inst.n)
                 if w not in terminals and w not in (s, t)]
     return _enumerate_min_removal(inst, edges, s, t, eids, nonterms, budget)
+
+
+def brute_force_min_cut(nodes: int, arcs, s: int, t: int):
+    """Minimum s-t cut of a directed network on nodes 0..nodes-1 (at most
+    7) with arcs (tail, head, capacity), by trying every source side S
+    with s in S and t not in S.
+
+    Returns the minimum value and the positions in `arcs`, ascending, of
+    the arcs from the smallest minimum side to the rest, zero-capacity
+    arcs included. The smallest minimum side is the intersection of all
+    minimum sides, which is itself a minimum side."""
+    if nodes > 7:
+        raise ValueError("at most 7 nodes")
+
+    def leaving(side):
+        return [i for i, (u, v, _) in enumerate(arcs)
+                if u in side and v not in side]
+
+    others = [w for w in range(nodes) if w not in (s, t)]
+    best, sides = None, []
+    for size in range(len(others) + 1):
+        for extra in itertools.combinations(others, size):
+            side = {s, *extra}
+            value = sum(arcs[i][2] for i in leaving(side))
+            if best is None or value < best:
+                best, sides = value, [side]
+            elif value == best:
+                sides.append(side)
+    smallest = set.intersection(*sides)
+    cut = leaving(smallest)
+    assert sum(arcs[i][2] for i in cut) == best
+    return best, cut

@@ -457,21 +457,43 @@ def test_gen_grid_width_below_one_exit_two(width):
     assert f"grid width {float(width)} " in err
 
 
+# the smallest integer whose float rounds to 1e20, which the LP solver
+# takes for infinite, and the integer one below it
+LP_COST_LIMIT = 99999999999999991808
+LP_COST_TOP = LP_COST_LIMIT - 1
+
+
 def test_gen_cost_at_or_above_the_parse_limit_exit_two(tmp_path):
     # reading the file back would fail: "cost ... is not below 10**20"
     argv = ["gen", "--model", "wheel", "--n", "5", "--k", "1", "--pairs",
             "1", "--seed", "1"]
-    code, out, err = invoke(argv + ["--cost-min", str(10**20),
-                                    "--cost-max", str(10**20 + 1)])
-    assert (code, out) == (2, "")
-    assert err == f"error: cost {10**20 + 1} is not below 10**20\n"
+    for low, high in ((10**20, 10**20 + 1), (LP_COST_LIMIT, LP_COST_LIMIT),
+                      (1, 10**20 - 1)):
+        code, out, err = invoke(argv + ["--cost-min", str(low),
+                                        "--cost-max", str(high)])
+        assert (code, out) == (2, "")
+        assert err == f"error: cost {high} is not below 10**20 as a float\n"
     path = tmp_path / "top.txt"
-    top = str(10**20 - 1)
+    top = str(LP_COST_TOP)
     code, _, _ = invoke(argv + ["--cost-min", top, "--cost-max", top,
                                 "-o", str(path)])
     assert code == 0
     costs = [c for *_, c in parse_instance(path.read_text()).edges]
     assert max(costs) == int(top)
+
+
+def test_cost_the_lp_can_hold_solves_and_the_next_exits_two(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text(f"graph 2 1\nedge 0 1 {LP_COST_TOP}\nreq 0 1 1\n")
+    code, out, err = invoke(["solve", str(path), "--verify"])
+    assert (code, err) == (0, "")
+    assert f"cost {LP_COST_TOP} edges 1\n" in out
+    assert out.endswith("FEASIBLE\n")
+    path.write_text(f"graph 2 1\nedge 0 1 {LP_COST_LIMIT}\nreq 0 1 1\n")
+    for argv in (["solve", str(path)], ["exact", str(path)]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert f"cost {LP_COST_LIMIT} is not below 10**20 as a float" in err
 
 
 # a sample larger than this runs in a child under the address-space cap

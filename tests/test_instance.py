@@ -48,6 +48,9 @@ def test_parse_comments_and_blanks():
     ("graph 2 1\nedge 0 1 1e400\n", "not below 10**20", 2),
     ("graph 2 1\n\nedge 0 1 123456789012345678901234567890/7\n",
      "not below 10**20", 3),
+    # the smallest integer whose float rounds to 1e20
+    ("graph 2 1\nedge 0 1 99999999999999991808\n",
+     "cost 99999999999999991808 is not below 10**20 as a float", 2),
     ("", "empty input", None),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment, line):
@@ -77,6 +80,8 @@ def test_roundtrip_examples():
         "graph 2 1\nedge 0 1 5\nreq 0 1 1\n",
         "graph 3 0\n",
         "graph 4 2\nedge 0 1 0.25\nedge 2 3 1/3\nreq 0 3 2\nreq 1 2 1\n",
+        # the largest integer cost whose float is below 1e20
+        "graph 2 1\nedge 0 1 99999999999999991807\n",
     ]:
         inst = parse_instance(text)
         assert parse_instance(write_instance(inst)) == inst

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import brute_force_min_cut
 from vcsndp.maxflow import CapacitatedNetwork
 
 
@@ -101,3 +102,23 @@ def test_max_flow_with_a_target_matches_the_full_run():
                 assert got <= value
             else:
                 assert (got, got_cut) == (value, cut)
+
+
+def test_cut_is_the_smallest_minimum_side_by_enumeration():
+    # the LP rows come from the cut's arcs, so not just any minimum cut
+    # will do: it must be the forward arcs out of the residual-reachable
+    # side, zero-capacity arcs included, which is the smallest minimum side
+    rng = random.Random(59)
+    ints = range(4)
+    fractions = [Fraction(a, b) for a in range(7) for b in range(1, 5)]
+    for trial in range(200):
+        nodes = rng.randint(2, 7)
+        caps = fractions if trial % 2 else ints
+        arcs = [(u, v, rng.choice(caps)) for u in range(nodes)
+                for v in range(nodes) if u != v
+                for _ in range(rng.choice((0, 0, 1, 1, 2)))]
+        s, t = rng.sample(range(nodes), 2)
+        net, ids = build(arcs, nodes)
+        value, cut = net.max_flow(ids[s], ids[t])
+        assert (value, [aid // 2 for aid in cut]) == brute_force_min_cut(
+            nodes, arcs, s, t)

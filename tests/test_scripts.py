@@ -67,3 +67,13 @@ def test_code_lines_script(tmp_path):
     pkg = tmp_path / "pkg"
     assert proc.stdout == (f"0 {pkg / 'empty.py'}\n"
                            f"6 {pkg / 'mod.py'}\ntotal 6\n")
+    # two directories and a file, counted in the order given, each file once
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "one.py").write_text("x = 1\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"),
+         str(tmp_path / "other"), str(pkg / "mod.py"), str(pkg)],
+        capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == (f"1 {tmp_path / 'other' / 'one.py'}\n"
+                           f"6 {pkg / 'mod.py'}\n"
+                           f"0 {pkg / 'empty.py'}\ntotal 7\n")
