@@ -5,8 +5,9 @@ arguments and print results: `pipeline` picks a run's mode and family,
 for `solve`, `bench` and `family --from` alike, and sizes the family by
 the terminal count tau unless `--p/--q` give another size.
 Exit codes: 0 success/feasible, 1 infeasible or not-good, 2 usage/input
-error (a malformed file, a bad cost or grid width among them), 3 search
-budget exceeded or a family sample over its memory budget, 4 solver
+error (a malformed file, a bad cost or grid width, an `exact --budget`
+below 1 among them), 3 search budget exceeded, a family sample over its
+memory budget or a `gen` model over its edge budget, 4 solver
 failure (the LP solver rejected a model or stopped without an optimum or
 a proof of infeasibility, or a cutting-plane loop reached its round cap),
 5 internal error (any other exception, a fault in the toolkit).

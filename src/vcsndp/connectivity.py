@@ -176,9 +176,7 @@ def verify_vc_solution(inst: Instance, sol: EdgeSolution) -> VerificationReport:
     """Check every requirement pair's vertex connectivity in the bought subgraph."""
     reports = []
     ok = True
-    for pr in sorted(inst.requirements, key=sorted):
-        u, v = sorted(pr)
-        r = inst.requirements[pr]
+    for u, v, r in inst.pairs:
         got = vertex_connectivity_pair(inst, u, v, sol.edge_ids).value
         ok &= got >= r
         reports.append(PairReport(u, v, r, int(got)))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from types import SimpleNamespace
 from typing import Iterable
 
@@ -38,7 +38,7 @@ from .connectivity import (
     fractional_element_mincut,
 )
 from .errors import BudgetExceededError, InfeasibleError, SolverError
-from .instance import EdgeSolution, Instance, Pair
+from .instance import EdgeSolution, Instance, Pair, pair_triples
 
 SEPARATION_TOL = 1e-9
 HALF_TOL = 1e-7
@@ -53,7 +53,8 @@ class ElementInstance:
     """One induced element-connectivity problem.
 
     `terminals` fixes which vertices are elements (everything outside it);
-    `active_pairs` maps terminal pairs to their requirement.
+    `active_pairs` maps terminal pairs to their requirement, and `pairs`
+    lists them as (u, v, r) in the order of `instance.pair_triples`.
     """
 
     inst: Instance
@@ -61,10 +62,13 @@ class ElementInstance:
     active_pairs: dict[Pair, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for pr in self.active_pairs:
-            if not pr <= self.terminals:
-                u, v = sorted(pr)
+        for u, v, _ in self.pairs:
+            if not {u, v} <= self.terminals:
                 raise ValueError(f"active pair ({u},{v}) not inside terminals")
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int, int], ...]:
+        return pair_triples(self.active_pairs)
 
 
 def induce_element_instance(
@@ -82,21 +86,15 @@ def induce_element_instance(
     return ElementInstance(inst=inst, terminals=sub, active_pairs=active)
 
 
-def _sorted_pairs(ei: ElementInstance):
-    return sorted(ei.active_pairs, key=sorted)
-
-
 def _serves(ei: ElementInstance, edge_ids: frozenset[int],
             network: ElementNetwork) -> bool:
     """Whether `edge_ids` alone give every active pair its requirement in
-    element connectivity; checks the pairs in sorted order on `network`,
-    built for ei, stopping at the first one short. The pairs share one load
-    of the unit capacities, and each flow stops at the pair's
-    requirement."""
-    for pr in _sorted_pairs(ei):
-        r = ei.active_pairs[pr]
+    element connectivity; checks ei.pairs in order on `network`, built for
+    ei, stopping at the first one short. The pairs share one load of the
+    unit capacities, and each flow stops at the pair's requirement."""
+    for u, v, r in ei.pairs:
         if element_connectivity_pair(
-                ei.inst, ei.terminals, *sorted(pr), edge_ids,
+                ei.inst, ei.terminals, u, v, edge_ids,
                 network=network, target=r).value < r:
             return False
     return True
@@ -261,9 +259,7 @@ def solve_lp(ei: ElementInstance, purchased: Iterable[int] = (),
         caps = ({e: exact[values[e]] for e in free}
                 | dict.fromkeys(purchased, Fraction(1)))
         new_rows = 0
-        for pr in _sorted_pairs(ei):
-            u, v = sorted(pr)
-            r = ei.active_pairs[pr]
+        for u, v, r in ei.pairs:
             res = fractional_element_mincut(
                 ei.inst, ei.terminals, u, v, caps, network=network, target=r)
             if float(res.value) >= r - SEPARATION_TOL:
@@ -350,8 +346,11 @@ def solve_exact(*eis: ElementInstance,
     exclude-first; a branch dies when the edges still available cannot
     serve some pair. Each instance with active pairs gets one network,
     built once. A pair the full edge set cannot serve raises
-    InfeasibleError; more than `budget` nodes raise BudgetExceededError.
+    InfeasibleError; more than `budget` nodes raise BudgetExceededError,
+    and a budget below 1 raises ValueError.
     """
+    if budget < 1:
+        raise ValueError(f"node budget must be >= 1, got {budget}")
     inst = eis[0].inst
     if any(ei.inst is not inst for ei in eis):
         raise ValueError("element instances must share one inst")

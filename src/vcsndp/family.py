@@ -25,7 +25,8 @@ count, so a subject whose k-1 largest overlaps fall short has no cover at
 all. Only the surviving subjects are searched, in subject order. Every
 least cover survives both prunes, so the first witness found (least
 subject, then least size, then the lexicographically least set) is the
-one a full enumeration would find.
+one a full enumeration would find. A check whose step estimate exceeds
+_DEFAULT_CHECK_BUDGET raises BudgetExceededError before it starts.
 
 `is_good_family_general_subset_check` states the condition over the
 subsets T_i instead and shares no code with the covering check; tests
@@ -270,7 +271,7 @@ def _members(subject, mode: str) -> tuple[int, ...]:
 
 
 def _covering_check(family: TerminalFamily, mode: str, subjects: list,
-                    terms: list[int], k: int, budget: int) -> GoodnessReport:
+                    terms: list[int], k: int) -> GoodnessReport:
     """Covering check: for every subject and every blocking set X of at
     most k-1 other terminals, some shared index lies outside phi(X).
 
@@ -286,7 +287,7 @@ def _covering_check(family: TerminalFamily, mode: str, subjects: list,
     finds."""
     # _check_budget counts blocking sets among tau - 2 terminals
     _check_budget(len(subjects), len(terms) + 2 - _WIDTH[mode], k,
-                  family.params.p, budget)
+                  family.params.p, _DEFAULT_CHECK_BUDGET)
     if not subjects:
         return GoodnessReport(True)
     members = [_members(subject, mode) for subject in subjects]
@@ -321,23 +322,21 @@ def _covering_check(family: TerminalFamily, mode: str, subjects: list,
 def is_good_family_general(
     family: TerminalFamily, pairs: Iterable[Pair],
     terminals: Iterable[int], k: int,
-    budget: int = _DEFAULT_CHECK_BUDGET,
 ) -> GoodnessReport:
     """Exhaustive check of the covering condition for every pair and every
     blocking set X of at most k-1 terminals: some index must lie in
     phi(s) & phi(t) but outside phi(X)."""
     subjects = sorted(tuple(sorted(pr)) for pr in pairs)
     return _covering_check(family, GENERAL, subjects, sorted(set(terminals)),
-                           k, budget)
+                           k)
 
 
 def is_good_family_single_source(
     family: TerminalFamily, terminals: Iterable[int], k: int,
-    budget: int = _DEFAULT_CHECK_BUDGET,
 ) -> GoodnessReport:
     """Per-terminal covering condition: some index in phi(t) \\ phi(X)."""
     terms = sorted(set(terminals))
-    return _covering_check(family, SINGLE_SOURCE, terms, terms, k, budget)
+    return _covering_check(family, SINGLE_SOURCE, terms, terms, k)
 
 
 def is_good_family(family: TerminalFamily, terminals: Iterable[int],

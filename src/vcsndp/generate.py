@@ -1,7 +1,9 @@
 """Random benchmark instances: Erdos-Renyi, grid, and wheel graphs.
 
 Every emitted requirement is clamped to the pair's vertex connectivity in
-the generated graph, so instances are feasible by construction.
+the generated graph, so instances are feasible by construction. A model
+with more than EDGE_BUDGET candidate edges is refused with
+BudgetExceededError before any draw.
 """
 
 from __future__ import annotations
@@ -11,10 +13,13 @@ import random
 from fractions import Fraction
 
 from .connectivity import vertex_connectivity_pair
-from .errors import GenerationError
+from .errors import BudgetExceededError, GenerationError
 from .instance import Instance, lp_cost_ok, pair
 
 MODELS = ("erdos-renyi", "grid", "wheel")
+# the most candidate edges a model may draw from: n(n-1)/2 for ER, under
+# 2n for a grid, 2(n-1) for a wheel
+EDGE_BUDGET = 1 << 19
 
 
 def _model_edges(model: str, n: int, edge_param: float | None,
@@ -69,12 +74,20 @@ def generate_instance(
         raise ValueError("need n >= 2")
     if k < 1:
         raise ValueError("need k >= 1")
+    if num_pairs < 1:
+        raise ValueError("need pairs >= 1")
     lo, hi = cost_range
     if not (0 <= lo <= hi):
         raise ValueError("bad cost range")
     if not lp_cost_ok(hi):
         # the file could not be read back: parse_instance refuses the cost
         raise ValueError(f"cost {hi} is not below 10**20 as a float")
+    candidates = {"erdos-renyi": n * (n - 1) // 2, "grid": 2 * n,
+                  "wheel": 2 * (n - 1)}.get(model, 0)
+    if candidates > EDGE_BUDGET:
+        raise BudgetExceededError(
+            f"{model} on {n} vertices has {candidates} candidate edges, "
+            f"over budget {EDGE_BUDGET}")
     rng = random.Random(seed)
     raw = _model_edges(model, n, edge_param, rng)
     edges = tuple((u, v, Fraction(rng.randint(lo, hi))) for u, v in raw)

@@ -3,6 +3,9 @@
 Vertices are integers 0..n-1. Edges carry exact nonnegative costs
 (fractions.Fraction) and are identified by their position in the edge list,
 so parallel edges are fine. Requirements are stored once per unordered pair.
+This module owns the order in which pairs are visited: `pair_triples`
+lists them as (u, v, r), u < v, sorted by (u, v), and every solver,
+check and writer walks them in that order.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, TextIO
 
 from .errors import ParseError
@@ -21,6 +25,13 @@ def pair(u: int, v: int) -> Pair:
     if u == v:
         raise ValueError(f"self-pair ({u}, {v})")
     return frozenset((u, v))
+
+
+def pair_triples(requirements: dict[Pair, int]
+                 ) -> tuple[tuple[int, int, int], ...]:
+    """The (u, v, r) of each requirement, u < v, sorted by (u, v)."""
+    return tuple(sorted((min(pr), max(pr), r)
+                        for pr, r in requirements.items()))
 
 
 def parse_cost(text: str) -> Fraction:
@@ -85,6 +96,11 @@ class Instance:
                 raise ValueError(f"requirement r({u},{v}) = {r} < 1")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"requirement ({u},{v}): vertex out of range")
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """pair_triples(requirements), computed on first use."""
+        return pair_triples(self.requirements)
 
     @property
     def m(self) -> int:
@@ -211,9 +227,8 @@ def write_instance(inst: Instance) -> str:
     out = [f"graph {inst.n} {inst.m}"]
     for u, v, cost in inst.edges:
         out.append(f"edge {u} {v} {format_cost(cost)}")
-    for pr in sorted(inst.requirements, key=sorted):
-        u, v = sorted(pr)
-        out.append(f"req {u} {v} {inst.requirements[pr]}")
+    for u, v, r in inst.pairs:
+        out.append(f"req {u} {v} {r}")
     return "\n".join(out) + "\n"
 
 

@@ -34,7 +34,7 @@ from .element import (
     solve_iterative_rounding,
 )
 from .errors import FamilyNotGoodError, InfeasibleError
-from .instance import EdgeSolution, Instance, derive_terminals
+from .instance import EdgeSolution, Instance, derive_terminals, pair
 
 BACKENDS = ("iterative", "exact")
 MODES = (*fam.MODES, "auto")
@@ -79,9 +79,6 @@ class PipelineResult:
     solution: EdgeSolution
     family: fam.TerminalFamily
     records: tuple[InstanceRecord, ...]
-    # subset index -> record position; an index not in it is skipped (its
-    # T_i holds no requirement pair)
-    subset_classes: dict[int, int]
     verification: VerificationReport | None
     cost_bound: Fraction | None        # 2 * p * (best OPT lower bound)
     resamples_used: int
@@ -92,9 +89,7 @@ def check_instance_feasible(inst: Instance) -> None:
     """r(u,v) must not exceed the full graph's vertex connectivity.
     Vertex-disjoint paths are element-disjoint too, so this also covers
     the pairs of every induced element instance."""
-    for pr in sorted(inst.requirements, key=sorted):
-        u, v = sorted(pr)
-        r = inst.requirements[pr]
+    for u, v, r in inst.pairs:
         got = vertex_connectivity_pair(inst, u, v).value
         if got < r:
             raise InfeasibleError(
@@ -199,19 +194,13 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
         solved = [_solve_backend(ei, cfg) for ei in instances]
 
     records = []
-    subset_classes: dict[int, int] = {}
     union: set[int] = set()
-    for slot, (key, ei, (sol, cert)) in enumerate(
-            zip(keys, instances, solved)):
+    for key, ei, (sol, cert) in zip(keys, instances, solved):
         indices = class_of[key]
-        for i in indices:
-            subset_classes[i] = slot
         union |= sol.edge_ids
         records.append(InstanceRecord(
             first_index=min(indices), multiplicity=len(indices),
-            terminals=ei.terminals,
-            active_pairs=tuple(sorted(
-                (*sorted(pr), r) for pr, r in ei.active_pairs.items())),
+            terminals=ei.terminals, active_pairs=ei.pairs,
             edge_ids=sol.edge_ids, cost=sol.cost, certificate=cert))
 
     solution = EdgeSolution.of(inst, union)
@@ -230,8 +219,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
 
     return PipelineResult(
         solution=solution, family=family, records=tuple(records),
-        subset_classes=subset_classes, verification=verification,
-        cost_bound=cost_bound, resamples_used=resamples,
+        verification=verification, cost_bound=cost_bound, resamples_used=resamples,
         source=min(pinned, default=None))
 
 
@@ -240,10 +228,11 @@ def solve_exact_vcsndp(inst: Instance,
     """Exact minimum-cost VC-SNDP (desk-scale oracle): solve_exact over one
     element instance per requirement pair (s, t), with terminals {s, t},
     where element connectivity is vertex connectivity. A requirement the
-    full graph cannot meet raises InfeasibleError naming its pair."""
-    if not inst.requirements:
-        return EdgeSolution.of(inst, ())
+    full graph cannot meet raises InfeasibleError naming its pair. With no
+    requirements it passes one instance without pairs, which buys
+    nothing."""
     check_instance_feasible(inst)
-    reqs = inst.requirements
-    return solve_exact(*(ElementInstance(inst, pr, {pr: reqs[pr]})
-                         for pr in sorted(reqs, key=sorted)), budget=budget)
+    eis = [ElementInstance(inst, pair(u, v), {pair(u, v): r})
+           for u, v, r in inst.pairs]
+    return solve_exact(*(eis or [ElementInstance(inst, frozenset())]),
+                       budget=budget)

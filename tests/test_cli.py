@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli_capped
 from vcsndp import family as fam
-from vcsndp.generate import MODELS
+from vcsndp.generate import EDGE_BUDGET, MODELS
 from vcsndp.cli import _build_parser, run
 from vcsndp.instance import parse_instance, write_instance
 
@@ -337,6 +337,17 @@ def test_exact_budget_exit_three(tmp_path):
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_exact_budget_below_one_exit_two(inst_file, budget):
+    # refused also where no search runs: an instance without requirements
+    bare = inst_file.with_name("bare.txt")
+    bare.write_text("graph 2 1\nedge 0 1 1\n")
+    for path in (inst_file, bare):
+        code, out, err = invoke(["exact", str(path), "--budget", budget])
+        assert (code, out) == (2, "")
+        assert err == f"error: node budget must be >= 1, got {budget}\n"
+
+
 def test_bench_command(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -446,6 +457,21 @@ def test_gen_samples_pairs_without_listing_them(model):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("graph 20000 ")
     assert proc.stdout.count("\nreq ") == 3
+
+
+@pytest.mark.parametrize("args, candidates", [
+    (["--model", "erdos-renyi", "--n", "100000", "--edge-param", "0"],
+     4999950000),
+    (["--model", "grid", "--n", "100000000"], 200000000),
+])
+def test_gen_edge_budget_refused_before_any_draw(args, candidates):
+    # ER would make ~5e9 draws, and the grid would not fit the cap
+    proc = run_cli_capped(["gen", *args, "--k", "1", "--pairs", "1",
+                           "--seed", "1"], timeout=20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"budget exceeded: {args[1]} on {args[3]} vertices has {candidates} "
+        f"candidate edges, over budget {EDGE_BUDGET}\n")
 
 
 @pytest.mark.parametrize("width", ["0.5", "-3", "nan", "inf"])

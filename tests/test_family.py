@@ -430,8 +430,7 @@ def test_budget_guard():
     params = fam.default_params(3, 40)
     f = fam.sample_family(range(40), params, seed=0)
     with pytest.raises(BudgetExceededError, match="budget"):
-        fam.is_good_family_general(
-            f, all_pairs(range(40)), range(40), 3, budget=100)
+        fam.is_good_family_general(f, all_pairs(range(40)), range(40), 3)
 
 
 def test_estimate_bad_events_k1():

@@ -61,6 +61,9 @@ def test_argument_validation():
         generate_instance("erdos-renyi", 1, 0.5, 1, 1, (1, 2), seed=0)
     with pytest.raises(ValueError):
         generate_instance("erdos-renyi", 4, 0.5, 0, 1, (1, 2), seed=0)
+    for pairs in (0, -1):
+        with pytest.raises(ValueError, match=r"need pairs >= 1"):
+            generate_instance("erdos-renyi", 4, 0.5, 1, pairs, (1, 2), seed=0)
     with pytest.raises(ValueError):
         generate_instance("nonesuch", 4, 0.5, 1, 1, (1, 2), seed=0)
     with pytest.raises(ValueError):

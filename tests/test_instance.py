@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from vcsndp.connectivity import verify_vc_solution
+from vcsndp.element import induce_element_instance
 from vcsndp.errors import ParseError
 from vcsndp.instance import (
     EdgeSolution,
@@ -144,3 +146,23 @@ def test_instance_invariants():
         Instance(2, ((0, 1, Fraction(-1)),))
     with pytest.raises(ValueError):
         Instance(2, (), {pair(0, 5): 1})
+
+
+def test_every_reader_walks_the_pairs_in_one_order():
+    # inserted out of order, with ids past 9 so that a text sort would differ
+    reqs = {pair(10, 2): 1, pair(3, 1): 2, pair(1, 10): 1, pair(2, 3): 3,
+            pair(0, 11): 2, pair(1, 2): 1}
+    edges = tuple((u, v, Fraction(1)) for u in range(12)
+                  for v in range(u + 1, 12))
+    inst = Instance(12, edges, reqs)
+    assert inst.pairs == ((0, 11, 2), (1, 2, 1), (1, 3, 2), (1, 10, 1),
+                          (2, 3, 3), (2, 10, 1))
+    written = [tuple(map(int, line.split()[1:]))
+               for line in write_instance(inst).splitlines()
+               if line.startswith("req ")]
+    assert tuple(written) == inst.pairs
+    report = verify_vc_solution(inst, EdgeSolution.of(inst, range(inst.m)))
+    assert tuple((p.u, p.v, p.required) for p in report.pairs) == inst.pairs
+    for subset in ({1, 2, 3}, {2, 3, 10}, {0, 1, 10, 11}, {3}):
+        ei = induce_element_instance(inst, derive_terminals(inst), subset)
+        assert ei.pairs == tuple(t for t in inst.pairs if {*t[:2]} <= subset)

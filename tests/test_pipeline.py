@@ -257,23 +257,20 @@ def test_skipped_subsets_have_no_active_pairs():
         res = solve_pipeline(inst, PipelineConfig(mode=mode, seed=11,
                                                   verify_family=True))
         pinned = {res.source} - {None}
-        subsets = subsets_of(res.family)
-        assert set(res.subset_classes) <= set(subsets)
-        slots = set()
-        for i in subsets:
-            slot = res.subset_classes.get(i, -1)
-            active = {pr for pr in inst.requirements
-                      if pr <= subsets[i] | pinned}
-            assert (slot == -1) == (not active)
-            if slot != -1:
-                # the class's active pairs are exactly those inside
-                # T_i + pinned
-                rec = res.records[slot]
-                assert {pair(u, v) for u, v, _ in rec.active_pairs} == active
-                slots.add(slot)
-        assert slots == set(range(len(res.records)))
-        # some index is skipped
-        assert len(res.subset_classes) < len(subsets)
+        classes: dict[frozenset, list[int]] = {}
+        for i, members in subsets_of(res.family).items():
+            active = frozenset(pr for pr in inst.requirements
+                               if pr <= members | pinned)
+            classes.setdefault(active, []).append(i)
+        # some index is skipped: its T_i + pinned holds no pair
+        assert classes.pop(frozenset())
+        # one record per class of subsets with the same pairs inside
+        # T_i + pinned, named by its smallest index and its size
+        assert (sorted((min(ix), len(ix), active)
+                       for active, ix in classes.items())
+                == [(rec.first_index, rec.multiplicity,
+                     frozenset(pair(u, v) for u, v, _ in rec.active_pairs))
+                    for rec in res.records])
 
 
 def test_benchmark_report():
