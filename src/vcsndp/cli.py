@@ -263,10 +263,7 @@ def _cmd_exact(args, out) -> int:
     inst = parse_instance(args.instance.read_text())
     sol = solve_exact_vcsndp(inst, budget=args.budget)
     out.write(f"cost {format_cost(sol.cost)} edges {len(sol.edge_ids)}\n")
-    if args.output is not None:
-        args.output.write_text(write_solution(sol))
-    else:
-        out.write(write_solution(sol))
+    _emit(write_solution(sol), args.output, out)
     return EXIT_OK
 
 

@@ -9,10 +9,12 @@ internally vertex-disjoint s-t paths are exactly the paths that share no
 edge and no vertex but s and t. Only the terminals and the vertices on an
 edge get nodes, so isolated vertices cost nothing. Capacities in [0,1] are
 scaled by the lcm of their denominators, so Dinic runs on exact ints. An
-element solve builds one network and reloads it for each separation round
-and once for each integral check. A query that only asks whether the value
-reaches a target stops its flow there. The brute-force Menger oracles that
-the tests check these queries against live in `tests/oracles.py`.
+element solve builds one network, and reloads it for each separation round
+and once for each integral check: a query reloads only for capacities that
+differ from the last ones loaded. A query that only asks whether the value
+reaches a target (an integral check, the feasibility precheck, the clamp
+in `gen`) stops its flow there. The brute-force Menger oracles that the
+tests check these queries against live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -56,16 +58,6 @@ class ElementNetwork:
         self._node = node_in
         self._capacities: Mapping[int, Fraction] | None = None
         self._scale = 1
-        self._unit_ids: frozenset[int] | None = None
-        self._units: Mapping[int, int] = {}
-
-    def units(self, edge_ids: frozenset[int]) -> Mapping[int, int]:
-        """Capacity 1 on each edge of `edge_ids`: the mapping last returned
-        while edge_ids equals the last set asked for, so that integral
-        queries on one edge set load it once."""
-        if edge_ids != self._unit_ids:
-            self._unit_ids, self._units = edge_ids, dict.fromkeys(edge_ids, 1)
-        return self._units
 
     def _load(self, capacities: Mapping[int, Fraction]) -> None:
         ratios = [capacities.get(eid, 0).as_integer_ratio()
@@ -87,9 +79,10 @@ class ElementNetwork:
         distinct terminals; ValueError otherwise.
 
         The network keeps the capacities it last loaded, and reloads only
-        for a different mapping object, so the caller must not change that
-        mapping in place between queries. A cut of scaled value c is a cut
-        of value c / L for the lcm L, and scaling keeps the minimum cut.
+        for a mapping that is neither that object nor equal to it, so the
+        caller must not change that mapping in place between queries. A
+        cut of scaled value c is a cut of value c / L for the lcm L, and
+        scaling keeps the minimum cut.
 
         With a positive `target`, a minimum cut at or above it is not
         computed: the flow stops once it reaches the target, and the
@@ -99,7 +92,7 @@ class ElementNetwork:
         """
         if s not in self.terminals or t not in self.terminals:
             raise ValueError("s and t must be terminals")
-        if capacities is not self._capacities:
+        if capacities is not self._capacities and capacities != self._capacities:
             self._load(capacities)
         scaled = None if target is None else target * self._scale
         value, cut = self._net.max_flow(self._node[s], self._node[t], scaled)
@@ -116,10 +109,12 @@ class ElementNetwork:
 
 def vertex_connectivity_pair(
     inst: Instance, s: int, t: int,
-    edge_ids: Iterable[int] | None = None,
+    edge_ids: Iterable[int] | None = None, target: int | None = None,
 ) -> ConnectivityQueryResult:
-    """Max internally vertex-disjoint s-t paths in the given edge subset."""
-    return element_connectivity_pair(inst, frozenset((s, t)), s, t, edge_ids)
+    """Max internally vertex-disjoint s-t paths in the given edge subset;
+    a `target` stops the flow there, as ElementNetwork.min_cut says."""
+    return element_connectivity_pair(inst, frozenset((s, t)), s, t, edge_ids,
+                                     target=target)
 
 
 def element_connectivity_pair(
@@ -131,10 +126,10 @@ def element_connectivity_pair(
 
     `network` and `target` work as in fractional_element_mincut; queries
     on one network with equal edge sets load the capacities once."""
-    ids = frozenset(range(inst.m) if edge_ids is None else edge_ids)
+    units = dict.fromkeys(range(inst.m) if edge_ids is None else edge_ids, 1)
     if network is None:
         network = ElementNetwork(inst, terminals)
-    return network.min_cut(s, t, network.units(ids), target)
+    return network.min_cut(s, t, units, target)
 
 
 def fractional_element_mincut(

@@ -133,7 +133,8 @@ class TerminalFamily:
         return shared
 
     def union_mask(self, group: Iterable[int]) -> int:
-        """The OR of the masks of group: the mask of phi_of(group)."""
+        """The OR of the masks of group: bit i is set iff some terminal in
+        group drew index i."""
         union = 0
         for t in group:
             union |= self.masks.get(t, 0)
@@ -143,10 +144,6 @@ class TerminalFamily:
         """The indices i, ascending, whose subset T_i holds every terminal
         in group."""
         return _bits(self.shared_mask(group))
-
-    def phi_of(self, group: Iterable[int]) -> frozenset[int]:
-        """Union of phi over a set of terminals."""
-        return frozenset(_bits(self.union_mask(group)))
 
     def words(self, group: Iterable[int]) -> np.ndarray:
         """The masks of group, one row of 64-bit words per terminal (a

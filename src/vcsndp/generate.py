@@ -1,7 +1,8 @@
 """Random benchmark instances: Erdos-Renyi, grid, and wheel graphs.
 
 Every emitted requirement is clamped to the pair's vertex connectivity in
-the generated graph, so instances are feasible by construction. A model
+the generated graph, so instances are feasible by construction; each
+pair's flow stops once it reaches the drawn requirement. A model
 with more than EDGE_BUDGET candidate edges is refused with
 BudgetExceededError before any draw.
 """
@@ -101,7 +102,8 @@ def generate_instance(
 
     requirements = {}
     for u, v, r in wanted:
-        kappa = int(vertex_connectivity_pair(graph, u, v).value)
+        # the flow stops at r: min(r, kappa) is all that is kept
+        kappa = int(vertex_connectivity_pair(graph, u, v, target=r).value)
         if kappa >= 1:
             requirements[pair(u, v)] = min(r, kappa)
     if not requirements:

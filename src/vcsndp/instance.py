@@ -6,15 +6,20 @@ so parallel edges are fine. Requirements are stored once per unordered pair.
 This module owns the order in which pairs are visited: `pair_triples`
 lists them as (u, v, r), u < v, sorted by (u, v), and every solver,
 check and writer walks them in that order.
+
+The instance and solution readers take the whole text as a str. Lines end
+where `str.splitlines` ends them (so a lone \r or \x0b ends one too), '#'
+starts a comment, and the fields of a line are split on any run of
+whitespace (`str.split`); the writers emit the canonical form, which reads
+back to the same object.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from .errors import ParseError
 
@@ -142,25 +147,21 @@ class EdgeSolution:
         return cls(ids, inst.total_cost(ids))
 
 
-_WS = re.compile(r"\s+")
-
-
-def _tokens(stream: TextIO | str) -> list[tuple[int, list[str]]]:
+def _tokens(text: str) -> list[tuple[int, list[str]]]:
     """(line number from 1, whitespace-split fields) of each line that
     holds anything once its '#' comment is cut."""
-    text = stream if isinstance(stream, str) else stream.read()
-    return [(ln, _WS.split(body))
+    return [(ln, fields)
             for ln, raw in enumerate(text.splitlines(), start=1)
-            if (body := raw.split("#", 1)[0].strip())]
+            if (fields := raw.split("#", 1)[0].split())]
 
 
-def parse_instance(stream: TextIO | str) -> Instance:
+def parse_instance(text: str) -> Instance:
     """Parse the line-oriented instance format.
 
     Format: `graph <n> <m>`, then m `edge <u> <v> <cost>` lines, then
     `req <u> <v> <r>` lines. '#' starts a comment; blank lines ignored.
     """
-    tokens = _tokens(stream)
+    tokens = _tokens(text)
     if not tokens:
         raise ParseError("empty input, expected 'graph <n> <m>' header")
     ln, head = tokens[0]
@@ -232,9 +233,9 @@ def write_instance(inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_solution(stream: TextIO | str, inst: Instance) -> EdgeSolution:
+def parse_solution(text: str, inst: Instance) -> EdgeSolution:
     """Parse `solution <count> <cost>` + one edge-id per line."""
-    tokens = _tokens(stream)
+    tokens = _tokens(text)
     if not tokens:
         raise ParseError("empty input, expected 'solution <count> <cost>'")
     ln, head = tokens[0]

@@ -7,11 +7,13 @@ in a pinned terminal: single-source mode draws the family over the sinks
 and pins the common source, which joins every subset. Mode "auto" picks
 single-source when every requirement pair shares a vertex. `family_setup`
 makes these decisions once, for `solve_pipeline` and for `family --from`:
-the mode, the drawn and pinned terminals, the feasibility precheck and
-the family's (p, q). Identical induced instances (same requirement-pair
-set) are solved once; the representative is solved with the minimal
-terminal set (the endpoints of its pairs), which is at least as
-constrained as any subset in its class, so reuse preserves feasibility.
+the mode, the drawn terminals and the pinned source, the feasibility
+precheck and the family's (p, q). The precheck asks each pair's flow only
+to reach its requirement. Identical induced instances (same
+requirement-pair set) are solved once, in the order of their first subset
+index; the representative is solved with the minimal terminal set (the
+endpoints of its pairs), which is at least as constrained as any subset
+in its class, so reuse preserves feasibility.
 """
 
 from __future__ import annotations
@@ -90,21 +92,11 @@ def check_instance_feasible(inst: Instance) -> None:
     Vertex-disjoint paths are element-disjoint too, so this also covers
     the pairs of every induced element instance."""
     for u, v, r in inst.pairs:
-        got = vertex_connectivity_pair(inst, u, v).value
+        got = vertex_connectivity_pair(inst, u, v, target=r).value
         if got < r:
             raise InfeasibleError(
                 f"pair ({u},{v}) requires {r} vertex-disjoint paths but the "
                 f"full graph only provides {got}")
-
-
-def find_common_source(inst: Instance) -> int:
-    """The vertex shared by all requirement pairs; smallest id on ties."""
-    if not inst.requirements:
-        raise InfeasibleError("instance has no requirements")
-    common = frozenset.intersection(*inst.requirements)
-    if not common:
-        raise InfeasibleError("requirement pairs share no common source")
-    return min(common)
 
 
 def resolve_mode(inst: Instance, mode: str) -> str:
@@ -121,15 +113,21 @@ def family_setup(inst: Instance, mode: str,
                  unsafe: bool = False, basis: int | None = None
                  ) -> tuple[frozenset[int], frozenset[int], fam.FamilyParams]:
     """(terminals the family is drawn over, pinned terminals, params) for
-    `inst` in `mode`. Single-source mode pins the common source: it draws
-    no indices and joins every subset. The full graph must meet every
-    requirement before k sizes the family, whose log basis defaults to
-    max(2, tau) (Remark 1)."""
+    `inst` in `mode`. Single-source mode pins the common source, the least
+    vertex that every requirement pair holds: it draws no indices and
+    joins every subset. An instance without requirements, or without a
+    common source in single-source mode, raises InfeasibleError. The full
+    graph must meet every requirement before k sizes the family, whose
+    log basis defaults to max(2, tau) (Remark 1)."""
     if not inst.requirements:
         raise InfeasibleError("instance has no requirements")
     mode = resolve_mode(inst, mode)
-    pinned = (frozenset({find_common_source(inst)})
-              if mode == fam.SINGLE_SOURCE else frozenset())
+    pinned = frozenset()
+    if mode == fam.SINGLE_SOURCE:
+        shared = frozenset.intersection(*inst.requirements)
+        if not shared:
+            raise InfeasibleError("requirement pairs share no common source")
+        pinned = frozenset({min(shared)})
     check_instance_feasible(inst)
     terminals = derive_terminals(inst)
     basis = basis if basis is not None else max(2, len(terminals))
@@ -180,7 +178,9 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig) -> PipelineResult:
     for i in sorted(held):
         class_of.setdefault(frozenset(held[i]), []).append(i)
 
-    keys = sorted(class_of, key=lambda key: min(class_of[key]))
+    # in order of each class's first index, since that is the order in
+    # which the classes were first met
+    keys = list(class_of)
     # the class's endpoints, the pinned source among them, induce exactly
     # the class's pairs
     instances = [induce_element_instance(inst, terminals,

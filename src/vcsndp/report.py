@@ -28,6 +28,13 @@ def _cost_json(c: Fraction) -> dict:
     return {"exact": format_cost(c), "float": float(c)}
 
 
+def _summary(inst: Instance) -> dict:
+    """The size of `inst`, as the run and benchmark reports both give it."""
+    return {"n": inst.n, "m": inst.m, "k": inst.k,
+            "tau": len(derive_terminals(inst)),
+            "num_pairs": len(inst.requirements)}
+
+
 def result_to_dict(inst: Instance, cfg: PipelineConfig,
                    result: PipelineResult) -> dict:
     params = result.family.params
@@ -48,11 +55,7 @@ def result_to_dict(inst: Instance, cfg: PipelineConfig,
         for rec in result.records
     ]
     out = {
-        "instance": {
-            "n": inst.n, "m": inst.m, "k": inst.k,
-            "tau": len(derive_terminals(inst)),
-            "num_pairs": len(inst.requirements),
-        },
+        "instance": _summary(inst),
         "mode": params.mode,
         "seed": cfg.seed,
         "backend": cfg.backend,
@@ -101,9 +104,7 @@ def benchmark(instances: Iterable[tuple[str, Instance]], cfg: PipelineConfig,
     ratios = []
     for name, inst in instances:
         row = {"name": name, "mode": resolve_mode(inst, cfg.mode),
-               "n": inst.n, "m": inst.m, "k": inst.k,
-               "tau": len(derive_terminals(inst)),
-               "num_pairs": len(inst.requirements)}
+               **_summary(inst)}
         start = time.monotonic()
         try:
             result = solve_pipeline(inst, cfg)

@@ -8,13 +8,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_cli_capped
+from conftest import run_cli_capped, run_python_child
 from vcsndp import family as fam
 from vcsndp.generate import EDGE_BUDGET, MODELS
 from vcsndp.cli import _build_parser, run
 from vcsndp.instance import parse_instance, write_instance
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 FEASIBLE = "graph 4 4\nedge 0 1 1\nedge 1 2 1\nedge 2 3 1\nedge 3 0 1\nreq 0 2 2\n"
 
 
@@ -108,6 +109,61 @@ def test_infeasible_instance_exit_one(tmp_path):
     code, _, err = invoke(["solve", str(path)])
     assert code == 1
     assert "vertex-disjoint" in err
+
+
+# p=2, q=1 puts pair (4,5) of this instance in no subset
+ER8 = ["gen", "--model", "erdos-renyi", "--n", "8", "--edge-param", "0.5",
+       "--k", "2", "--pairs", "3", "--seed", "1"]
+TINY_FAMILY = ["--single-source", "off", "--p", "2", "--q", "1",
+               "--unsafe-params", "--verify", "--seed", "0"]
+
+
+@pytest.fixture
+def er8_file(tmp_path):
+    path = tmp_path / "er8.txt"
+    assert invoke([*ER8, "-o", str(path)])[0] == 0
+    return path
+
+
+def test_solve_verify_names_the_violated_pair_exit_one(er8_file):
+    code, out, _ = invoke(["solve", str(er8_file), *TINY_FAMILY])
+    assert code == 1
+    assert out.endswith("VIOLATED pair (4,5): achieved 0 < required 1\n"
+                        "INFEASIBLE\n")
+
+
+def test_solve_verify_family_gives_up_exit_one(er8_file):
+    code, _, err = invoke(["solve", str(er8_file), *TINY_FAMILY,
+                           "--verify-family"])
+    assert code == 1
+    assert "no good family within 16 resamples" in err
+
+
+def test_solve_json_without_verify_has_no_verification(er8_file, tmp_path):
+    path = tmp_path / "report.json"
+    assert invoke(["solve", str(er8_file), "--json", str(path)])[0] == 0
+    assert json.loads(path.read_text())["verification"] is None
+
+
+def test_bench_with_timing_times_each_row(er8_file, inst_file, tmp_path):
+    path = tmp_path / "bench.json"
+    code, _, _ = invoke(["bench", str(tmp_path), "--json", str(path)])
+    assert code == 0
+    rows = json.loads(path.read_text())["instances"]
+    assert [row["name"] for row in rows] == ["er8.txt", "inst.txt"]
+    assert all(row["wall_time"] >= 0 for row in rows)
+
+
+def test_console_script_exits_with_the_status(tmp_path):
+    # main() is the `vcsndp` console script that pyproject.toml declares
+    assert 'vcsndp = "vcsndp.cli:main"' in PYPROJECT.read_text()
+    missing = str(tmp_path / "missing.txt")
+    proc = run_python_child(
+        "import sys\nfrom vcsndp.cli import main\n"
+        f"sys.argv = ['vcsndp', 'verify', {missing!r}, {missing!r}]\n"
+        "main()\n")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "missing.txt" in proc.stderr
 
 
 def test_param_override_requires_relation(inst_file):

@@ -289,3 +289,10 @@ def test_min_cut_with_a_target_matches_the_full_run():
                     assert full.value >= got.value >= target
                 else:
                     assert got == full
+            full = vertex_connectivity_pair(inst, s, t)
+            for target in range(1, int(full.value) + 3):
+                got = vertex_connectivity_pair(inst, s, t, target=target)
+                if full.value >= target:
+                    assert full.value >= got.value >= target
+                else:
+                    assert got == full

@@ -90,6 +90,27 @@ def test_roundtrip_examples():
 
 
 costs = st.fractions(min_value=0, max_value=1000)
+# runs of spaces and tabs go between fields; \r and \x0b end a line for
+# str.splitlines, so they go only around a line, where they add blank lines
+GAPS = st.text(" \t", min_size=1, max_size=3)
+PADS = st.text(" \t\r\x0b", max_size=3)
+TAILS = st.one_of(st.just(""), st.text(" \t#ab", max_size=4).map("#".__add__))
+
+
+def mutated(data, text):
+    """`text` with whitespace runs between and around the fields of each
+    line, '#' comments after some lines, and blank lines between them."""
+    out = []
+    for line in text.splitlines():
+        if data.draw(st.booleans()):
+            out.append(data.draw(PADS) + data.draw(TAILS))
+        fields = line.split(" ")
+        body = fields[0]
+        for f in fields[1:]:
+            body += data.draw(GAPS) + f
+        out.append(data.draw(PADS) + body + data.draw(PADS)
+                   + data.draw(TAILS))
+    return "\n".join(out) + data.draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
 @given(st.data())
@@ -112,7 +133,14 @@ def test_roundtrip_property(data):
                                   max_size=2, unique=True))
         reqs[pair(u, v)] = data.draw(st.integers(1, 4))
     inst = Instance(n=n, edges=edges, requirements=reqs)
-    assert parse_instance(write_instance(inst)) == inst
+    text = write_instance(inst)
+    assert parse_instance(text) == inst
+    assert parse_instance(mutated(data, text)) == inst
+    sol = EdgeSolution.of(inst, data.draw(st.sets(st.sampled_from(
+        range(m)) if m else st.nothing())))
+    text = write_solution(sol)
+    assert parse_solution(text, inst) == sol
+    assert parse_solution(mutated(data, text), inst) == sol
 
 
 @given(costs)

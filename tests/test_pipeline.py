@@ -18,7 +18,7 @@ from vcsndp.generate import generate_instance
 from vcsndp.instance import EdgeSolution, Instance, pair
 from vcsndp.pipeline import (
     PipelineConfig,
-    find_common_source,
+    family_setup,
     resolve_mode,
     solve_exact_vcsndp,
     solve_pipeline,
@@ -213,10 +213,12 @@ def test_single_source_requires_common_vertex():
 
 
 def test_find_common_source():
-    inst = Instance(4, (), {pair(2, 0): 1, pair(2, 3): 1})
-    assert find_common_source(inst) == 2
-    both = Instance(4, (), {pair(1, 3): 1})
-    assert find_common_source(both) == 1
+    # family_setup pins the least vertex every pair holds
+    cycle = c4(1).edges
+    inst = Instance(4, cycle, {pair(2, 0): 1, pair(2, 3): 1})
+    assert family_setup(inst, "single-source")[1] == {2}
+    both = Instance(4, cycle, {pair(1, 3): 1})
+    assert family_setup(both, "single-source")[1] == {1}
 
 
 def test_auto_mode_runs_the_detected_mode():
